@@ -166,10 +166,13 @@ fn bench_samplers(c: &mut Criterion) {
         b.iter(|| {
             let sampler =
                 dcdiff_diffusion::DdimSampler::new(stage2.schedule().clone(), 10);
-            let mut rng = seeded_rng(7);
-            sampler.sample(&[1, 4, 12, 12], &mut rng, |z, t| {
-                stage2.predict_noise(z, &[t], &control, None)
-            })
+            let mut lanes = [dcdiff_diffusion::BatchLane::new(seeded_rng(7))];
+            sampler.try_sample_cohort::<()>(
+                &[1, 4, 12, 12],
+                &mut lanes,
+                |z, t, _active| Ok(stage2.predict_noise(z, &[t], &control, None)),
+                |_lane, _t| Ok(()),
+            )
         })
     });
     group.finish();

@@ -246,7 +246,7 @@ fn main() {
     println!("  speedup 4 vs 1 workers: {speedup:.2}x");
 
     // Cross-request DDIM cohort ablation: one worker, diffusion estimator,
-    // canvas × steps × width grid. Width 1 is the sequential path; wider
+    // canvas × steps × width grid. Width 1 runs one lane per cohort; wider
     // cells fuse concurrent lanes into shared U-Net forwards. The tile
     // regime isolates sampler amortisation; the full-scene regime shows the
     // decode-bound floor.
@@ -372,7 +372,7 @@ fn main() {
     assert!(speedup >= 2.0, "4-worker serving should be at least 2x 1-worker (got {speedup:.2}x)");
     assert!(
         cohort_speedup_tile_s64 >= 2.5,
-        "width-8 cohorts should serve at least 2.5x the sequential rate on the 16x16 tile \
+        "width-8 cohorts should serve at least 2.5x the width-1 rate on the 16x16 tile \
          manifest at 64 DDIM steps (got {cohort_speedup_tile_s64:.2}x)"
     );
 }

@@ -1,6 +1,6 @@
 //! The end-to-end DCDiff estimator.
 
-use dcdiff_diffusion::{BatchLane, BatchedDdimSampler, DdimSampler, Fmpp, NoiseSchedule};
+use dcdiff_diffusion::{BatchLane, DdimSampler, Fmpp, NoiseSchedule};
 use dcdiff_image::Image;
 use dcdiff_jpeg::{ChromaSampling, CoeffImage, DcDropMode};
 use dcdiff_tensor::optim::Adam;
@@ -135,8 +135,8 @@ impl<'a> BatchRecoverJob<'a> {
 ///
 /// Seeding from job identity rather than a shared counter is what makes
 /// recovery results reproducible across cohort compositions: the same
-/// stream recovers to the same image whether it runs alone, in a width-8
-/// cohort, or sequentially.
+/// stream recovers to the same image whether it runs alone (a width-1
+/// cohort) or in a width-8 one.
 pub fn content_seed(dropped: &CoeffImage) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
@@ -471,19 +471,20 @@ impl DcDiff {
     /// Panics if `options.ddim_steps` is zero or exceeds the training
     /// schedule.
     pub fn recover_with(&self, dropped: &CoeffImage, options: &RecoverOptions) -> Image {
-        match self.recover_deadline(dropped, options, None) {
+        match self.try_recover_with(dropped, options, None) {
             Ok(image) => image,
-            Err(err) => unreachable!("recovery without a deadline cannot fail: {err}"),
+            Err(err) => panic!("{err}"),
         }
     }
 
-    /// Fallible recovery with an optional wall-clock deadline.
+    /// Fallible one-lane recovery with an optional wall-clock deadline: a
+    /// width-1 [`DcDiff::try_recover_batch`] cohort sampled under
+    /// `options.seed`.
     ///
-    /// This is the entry point the degradation ladder
-    /// ([`crate::FallbackEstimator`]) uses: the deadline is checked
-    /// cooperatively before every DDIM step and at each phase boundary,
-    /// and any panic escaping the model stack is caught and reported as
-    /// [`EstimateError::Panicked`] instead of unwinding into the worker.
+    /// The deadline is checked cooperatively before every DDIM step and at
+    /// each phase boundary, and any panic escaping the model stack is caught
+    /// and reported as [`EstimateError::Panicked`] instead of unwinding into
+    /// the caller.
     ///
     /// # Errors
     ///
@@ -496,126 +497,26 @@ impl DcDiff {
         options: &RecoverOptions,
         deadline: Option<Instant>,
     ) -> Result<Image, EstimateError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.recover_deadline(dropped, options, deadline)
-        }))
-        .unwrap_or_else(|payload| Err(EstimateError::panicked(payload)))
-    }
-
-    fn recover_deadline(
-        &self,
-        dropped: &CoeffImage,
-        options: &RecoverOptions,
-        deadline: Option<Instant>,
-    ) -> Result<Image, EstimateError> {
-        let check = |phase: &'static str| match deadline {
-            Some(d) if Instant::now() >= d => Err(EstimateError::DeadlineExceeded { phase }),
-            _ => Ok(()),
-        };
-        check("start")?;
-        // Inference-only pass: suppress the autograd tape so conv/GEMM work
-        // buffers recycle through the kernel scratch pool instead of being
-        // saved for a backward that never runs.
-        no_grad(|| {
-        // Phase spans go to the process-wide telemetry handle (see
-        // `dcdiff_telemetry::install`); without an installed trace they are
-        // inert branches.
-        let tel = dcdiff_telemetry::global();
-        let x_tilde_img = dropped.to_image();
-        // pad to a 16-aligned canvas for the networks
-        let (w, h) = x_tilde_img.dims();
-        let pw = w.div_ceil(16) * 16;
-        let ph = h.div_ceil(16) * 16;
-        let padded = if (pw, ph) == (w, h) {
-            x_tilde_img.clone()
-        } else {
-            Image::from_planes(
-                x_tilde_img
-                    .planes()
-                    .iter()
-                    .map(|p| p.crop_clamped(0, 0, pw, ph))
-                    .collect(),
-                x_tilde_img.color_space(),
-            )
-            .expect("padded planes share dimensions")
-        };
-        let x_tilde = image_to_tensor(&padded);
-
-        // FreeU scales
-        let fmpp_span = tel.span(names::SPAN_RECOVER_FMPP);
-        let (s, b) = if options.use_fmpp {
-            self.fmpp.predict(&x_tilde)
-        } else {
-            (Tensor::full(vec![1], 1.0), Tensor::full(vec![1], 1.0))
-        };
-        let s = s.detach();
-        let b = b.detach();
-        drop(fmpp_span);
-
-        // DDIM sampling of the DC latent
-        let sample_span = tel.span(names::SPAN_RECOVER_SAMPLE);
-        let cond = Stage2::condition_from(&x_tilde).detach();
-        let control = self.stage2.control_features(&cond);
-        let control: Vec<Tensor> = control.iter().map(Tensor::detach).collect();
-        let sampler = DdimSampler::new(self.stage2.schedule().clone(), options.ddim_steps);
-        let mut rng = seeded_rng(options.seed);
-        let latent_shape = [
-            1,
-            self.config.latent_channels,
-            ph / 8,
-            pw / 8,
-        ];
-        let z = sampler.try_sample(&latent_shape, &mut rng, |z_t, t| {
-            check("ddim")?;
-            Ok(self
-                .stage2
-                .predict_noise(z_t, &[t], &control, Some((&s, &b))))
-        })?;
-        drop(sample_span);
-
-        // decode and crop
-        check("decode")?;
-        let decode_span = tel.span(names::SPAN_RECOVER_DECODE);
-        let x_hat = self
-            .stage1
-            .decode(&z.scale(self.latent_scale), &x_tilde)
-            .detach();
-        let generated = tensor_to_image(&x_hat).crop_to(w, h);
-        drop(decode_span);
-
-        if !options.use_projection {
-            return Ok(generated);
-        }
-        check("projection")?;
-        let projection_span = tel.span(names::SPAN_RECOVER_PROJECTION);
-        let projected = project_dc(dropped, &generated);
-        drop(projection_span);
-        if !options.use_mld {
-            return Ok(projected.to_image());
-        }
-        check("mld_refine")?;
-        let _mld_span = tel.span(names::SPAN_RECOVER_MLD_REFINE);
-        let refined = refine_dc_offsets(
+        let lane = BatchRecoverJob {
             dropped,
-            &projected,
-            options.mask_threshold,
-            self.config.prior_weight,
-            self.config.refine_sweeps,
-        );
-        Ok(refined.to_image())
-        })
+            seed: options.seed,
+            deadline,
+            trace: None,
+        };
+        let mut results = self.try_recover_batch(std::slice::from_ref(&lane), options);
+        results.pop().expect("one result per lane")
     }
 
     /// Recover a whole cohort of DC-dropped streams with **shared U-Net
     /// forwards**: lanes with the same padded canvas advance through the
-    /// DDIM chain in lock-step via [`BatchedDdimSampler`], one forward per
-    /// step for the group, and the FMPP / control / stage-1 decode passes
-    /// are batched the same way.
+    /// DDIM chain in lock-step via [`DdimSampler::try_sample_cohort`], one
+    /// forward per step for the group, and the FMPP / control / stage-1
+    /// decode passes are batched the same way. This is the only recovery
+    /// pipeline; the one-lane entries above are width-1 cohorts.
     ///
     /// Per-lane identity is preserved: each lane samples from its own RNG
     /// seeded with [`BatchRecoverJob::seed`] (use [`content_seed`] to derive
-    /// it from the stream itself), so a lane's output is bit-identical to a
-    /// sequential [`DcDiff::try_recover_with`] call with the same seed,
+    /// it from the stream itself), so a lane's output is bit-identical
     /// regardless of which other lanes share the cohort. Deadlines stay
     /// per-lane and cooperative: an expired lane is evicted from the cohort
     /// (its slot resolves to [`EstimateError::DeadlineExceeded`]) while the
@@ -629,7 +530,25 @@ impl DcDiff {
         options: &RecoverOptions,
     ) -> Vec<Result<Image, EstimateError>> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.recover_batch_deadline(jobs, options)
+            let mut out: Vec<Option<Result<Image, EstimateError>>> =
+                (0..jobs.len()).map(|_| None).collect();
+            // Lanes can only share a forward when their padded canvases
+            // agree; group by canvas and run each group as one cohort.
+            let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
+            for (i, job) in jobs.iter().enumerate() {
+                let pw = job.dropped.width().div_ceil(16) * 16;
+                let ph = job.dropped.height().div_ceil(16) * 16;
+                match groups.iter_mut().find(|(canvas, _)| *canvas == (pw, ph)) {
+                    Some((_, members)) => members.push(i),
+                    None => groups.push(((pw, ph), vec![i])),
+                }
+            }
+            for ((pw, ph), members) in groups {
+                self.recover_group(jobs, &members, (pw, ph), options, &mut out);
+            }
+            out.into_iter()
+                .map(|slot| slot.expect("every lane resolves"))
+                .collect()
         }))
         .unwrap_or_else(|payload| {
             let err = EstimateError::panicked(payload);
@@ -637,34 +556,9 @@ impl DcDiff {
         })
     }
 
-    fn recover_batch_deadline(
-        &self,
-        jobs: &[BatchRecoverJob<'_>],
-        options: &RecoverOptions,
-    ) -> Vec<Result<Image, EstimateError>> {
-        let mut out: Vec<Option<Result<Image, EstimateError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        // Lanes can only share a forward when their padded canvases agree;
-        // group by canvas and run each group as one cohort.
-        let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let pw = job.dropped.width().div_ceil(16) * 16;
-            let ph = job.dropped.height().div_ceil(16) * 16;
-            match groups.iter_mut().find(|(canvas, _)| *canvas == (pw, ph)) {
-                Some((_, members)) => members.push(i),
-                None => groups.push(((pw, ph), vec![i])),
-            }
-        }
-        for ((pw, ph), members) in groups {
-            self.recover_group(jobs, &members, (pw, ph), options, &mut out);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every lane resolves"))
-            .collect()
-    }
-
-    /// Run one same-canvas cohort; fills `out[i]` for every `i` in
-    /// `members`.
+    /// Run one same-canvas cohort through the receiver pipeline — FMPP,
+    /// DDIM sampling of the DC latent, stage-1 decode, DC projection, MLD
+    /// refinement — filling `out[i]` for every `i` in `members`.
     fn recover_group(
         &self,
         jobs: &[BatchRecoverJob<'_>],
@@ -673,16 +567,21 @@ impl DcDiff {
         options: &RecoverOptions,
         out: &mut [Option<Result<Image, EstimateError>>],
     ) {
-        // Inference-only pass; see `recover_deadline` for why the tape is
-        // suppressed. At cohort widths the saved im2col buffers would be
-        // K× larger still, so recycling them matters even more here.
+        // Inference-only pass: suppress the autograd tape so conv/GEMM work
+        // buffers recycle through the kernel scratch pool instead of being
+        // saved for a backward that never runs. At cohort widths the saved
+        // im2col buffers would be K× larger still.
         no_grad(|| {
+        // Phase spans go to the process-wide telemetry handle (see
+        // `dcdiff_telemetry::install`); without an installed trace they are
+        // inert branches.
         let tel = dcdiff_telemetry::global();
         let check = |i: usize, phase: &'static str| match jobs[i].deadline {
             Some(d) if Instant::now() >= d => Err(EstimateError::DeadlineExceeded { phase }),
             _ => Ok(()),
         };
-        // Attribute a shared-phase span to one lane's trace.
+        // Attribute a span to one lane's trace (the thread's current trace
+        // when the lane carries none).
         let lane_span = |i: usize, name: &'static str, start: Instant, end: Instant| {
             let _attributed = jobs[i].trace.map(dcdiff_telemetry::install_trace);
             tel.record_span(name, start, end);
@@ -700,7 +599,7 @@ impl DcDiff {
             let x_tilde_img = jobs[i].dropped.to_image();
             let (w, h) = x_tilde_img.dims();
             let padded = if (pw, ph) == (w, h) {
-                x_tilde_img.clone()
+                x_tilde_img
             } else {
                 Image::from_planes(
                     x_tilde_img
@@ -748,7 +647,7 @@ impl DcDiff {
 
         // Step-synchronized DDIM over the cohort. The conditioning rows are
         // re-selected only when the active set changes (lane eviction).
-        let sampler = BatchedDdimSampler::new(self.stage2.schedule().clone(), options.ddim_steps);
+        let sampler = DdimSampler::new(self.stage2.schedule().clone(), options.ddim_steps);
         let mut lanes: Vec<BatchLane> = live
             .iter()
             .map(|&i| {
@@ -820,50 +719,42 @@ impl DcDiff {
         // Per-lane tail: crop, DC projection, masked-Laplacian refinement.
         for (j, &row) in survivors.iter().enumerate() {
             let i = live[row];
-            lane_span(i, names::SPAN_RECOVER_DECODE, decode_start, decode_end);
+            let _attributed = jobs[i].trace.map(dcdiff_telemetry::install_trace);
+            tel.record_span(names::SPAN_RECOVER_DECODE, decode_start, decode_end);
             let lane_hat = Tensor::from_vec(
                 row_shape.clone(),
                 x_hat_data[j * per..(j + 1) * per].to_vec(),
             );
             let (w, h) = dims[row];
             let generated = tensor_to_image(&lane_hat).crop_to(w, h);
-            out[i] = Some(self.finish_lane(jobs[i].dropped, generated, options, |phase| {
-                check(i, phase)
-            }));
+            out[i] = Some('tail: {
+                if !options.use_projection {
+                    break 'tail Ok(generated);
+                }
+                if let Err(e) = check(i, "projection") {
+                    break 'tail Err(e);
+                }
+                let projection_span = tel.span(names::SPAN_RECOVER_PROJECTION);
+                let projected = project_dc(jobs[i].dropped, &generated);
+                drop(projection_span);
+                if !options.use_mld {
+                    break 'tail Ok(projected.to_image());
+                }
+                if let Err(e) = check(i, "mld_refine") {
+                    break 'tail Err(e);
+                }
+                let _mld_span = tel.span(names::SPAN_RECOVER_MLD_REFINE);
+                let refined = refine_dc_offsets(
+                    jobs[i].dropped,
+                    &projected,
+                    options.mask_threshold,
+                    self.config.prior_weight,
+                    self.config.refine_sweeps,
+                );
+                Ok(refined.to_image())
+            });
         }
         })
-    }
-
-    /// The per-lane post-sampling pipeline, identical to the tail of
-    /// [`DcDiff::recover_deadline`].
-    fn finish_lane(
-        &self,
-        dropped: &CoeffImage,
-        generated: Image,
-        options: &RecoverOptions,
-        check: impl Fn(&'static str) -> Result<(), EstimateError>,
-    ) -> Result<Image, EstimateError> {
-        let tel = dcdiff_telemetry::global();
-        if !options.use_projection {
-            return Ok(generated);
-        }
-        check("projection")?;
-        let projection_span = tel.span(names::SPAN_RECOVER_PROJECTION);
-        let projected = project_dc(dropped, &generated);
-        drop(projection_span);
-        if !options.use_mld {
-            return Ok(projected.to_image());
-        }
-        check("mld_refine")?;
-        let _mld_span = tel.span(names::SPAN_RECOVER_MLD_REFINE);
-        let refined = refine_dc_offsets(
-            dropped,
-            &projected,
-            options.mask_threshold,
-            self.config.prior_weight,
-            self.config.refine_sweeps,
-        );
-        Ok(refined.to_image())
     }
 
     /// Serialise every sub-network into a checkpoint.
@@ -1001,9 +892,9 @@ mod tests {
         assert_ne!(content_seed(&a), content_seed(&c), "different content");
     }
 
-    // Satellite: per-sample RNG streams seeded from job identity make a
-    // sample's output identical at cohort widths 1, 2 and 8 — and equal to
-    // the sequential path with the same seed.
+    // Per-sample RNG streams seeded from job identity make a sample's
+    // output identical at cohort widths 1, 2 and 8 — and equal to the
+    // one-lane entry given the same seed.
     #[test]
     fn batched_recovery_is_bit_identical_across_cohort_widths() {
         let system = DcDiff::new(tiny_config(), 0);
@@ -1027,17 +918,17 @@ mod tests {
         assert_eq!(w1.mean_abs_diff(&w2), 0.0, "width 1 vs 2 must be bit-identical");
         assert_eq!(w1.mean_abs_diff(&w8), 0.0, "width 1 vs 8 must be bit-identical");
 
-        let seq_opts = RecoverOptions {
+        let solo_opts = RecoverOptions {
             seed: content_seed(&probe),
             ..opts
         };
-        let sequential = system
-            .try_recover_with(&probe, &seq_opts, None)
+        let solo = system
+            .try_recover_with(&probe, &solo_opts, None)
             .expect("no deadline, no panic");
         assert_eq!(
-            w1.mean_abs_diff(&sequential),
+            w1.mean_abs_diff(&solo),
             0.0,
-            "cohort lane must match the sequential sampler bit-exactly"
+            "cohort lane must match the one-lane entry bit-exactly"
         );
     }
 

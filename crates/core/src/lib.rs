@@ -67,9 +67,7 @@ pub use discriminator::PatchDiscriminator;
 pub use estimator::{
     content_seed, BatchRecoverJob, DcDiff, DcDiffConfig, RecoverOptions, TrainBudget, TrainReport,
 };
-pub use fallback::{
-    BreakerState, CircuitBreaker, EstimateError, FallbackEstimator, LadderOutcome, RecoveryTier,
-};
+pub use fallback::{BreakerState, CircuitBreaker, EstimateError};
 pub use perceptual::PerceptualLoss;
 pub use projection::{image_to_tensor, project_dc, tensor_to_image};
 pub use refine::{refine_dc_offsets, refine_dc_offsets_with, RefineConfig};

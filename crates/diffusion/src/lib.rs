@@ -6,7 +6,9 @@
 //!   linear or cosine β schedules, and the `z_t → ẑ_0` projection used by
 //!   the masked Laplacian loss during stage-2 training;
 //! * [`DdimSampler`] — deterministic DDIM sampling (the paper uses 50
-//!   steps at inference);
+//!   steps at inference). Its one sampling loop advances a cohort of
+//!   [`BatchLane`]s in lock-step, one shared noise prediction per step; a
+//!   lone sample is a cohort of width 1;
 //! * [`Fmpp`] — the frequency-modulation parameter predictor: a ResNet
 //!   over the DC-less image `x̃` emitting per-sample scale factors
 //!   `(s, b) ∈ (0, 2)` that re-weight U-Net backbone and skip features
@@ -30,12 +32,10 @@
 //! let _sampler = DdimSampler::new(schedule, 10);
 //! ```
 
-mod batched;
 mod ddim;
 mod fmpp;
 mod schedule;
 
-pub use batched::{BatchLane, BatchedDdimSampler};
-pub use ddim::{DdimSampler, DdpmSampler};
+pub use ddim::{BatchLane, DdimSampler};
 pub use fmpp::Fmpp;
 pub use schedule::NoiseSchedule;

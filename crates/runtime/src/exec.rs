@@ -1,7 +1,9 @@
 //! Job execution: one function per [`Job`] kind, mirroring the CLI
-//! sub-commands byte-for-byte, plus the per-worker [`EngineCache`] that lets
-//! a micro-batch of Recover jobs reuse one constructed method object instead
-//! of rebuilding state per image (the CLI's one-shot behaviour).
+//! sub-commands byte-for-byte; the degradation ladder [`recover_lanes`],
+//! which estimates every Recover lane at any cohort width; and the
+//! per-worker [`EngineCache`] that lets a micro-batch of Recover jobs reuse
+//! one constructed method object instead of rebuilding state per image (the
+//! CLI's one-shot behaviour).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -21,7 +23,7 @@ use dcdiff_metrics::{psnr, ssim};
 use dcdiff_telemetry::names;
 use dcdiff_telemetry::Telemetry;
 
-use crate::job::{CodingOpts, Job, JobError, JobOutput, RecoverMethod};
+use crate::job::{CodingOpts, Job, JobError, JobFailure, JobOutput, RecoverMethod};
 
 /// Read a PPM or PGM image based on the file extension (CLI-compatible).
 fn read_image(path: &str) -> Result<Image, JobError> {
@@ -82,11 +84,10 @@ fn code(coeffs: &CoeffImage, opts: &CodingOpts) -> Result<Vec<u8>, JobError> {
 /// One policy is shared by every worker of a [`crate::Runtime`] (the
 /// breaker is behind an `Arc`), so consecutive failures across workers
 /// accumulate into one per-runtime trip decision. The default enables the
-/// ladder — a panicking engine falls back to the TIP-2006 baseline, and a
-/// panicking baseline falls back to flat DC — mirroring the estimator-side
-/// ladder in `dcdiff_core::FallbackEstimator`. `dcdiff batch --no-fallback`
-/// selects [`RecoveryPolicy::no_fallback`] instead, surfacing the primary
-/// failure as a permanent [`JobError`].
+/// ladder of [`recover_lanes`] — a failing method falls back to the TIP-2006
+/// baseline, and a panicking baseline falls back to flat DC. `dcdiff batch
+/// --no-fallback` selects [`RecoveryPolicy::no_fallback`] instead,
+/// surfacing the primary failure as a permanent [`JobError`].
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Whether failed recoveries degrade to lower tiers (default) or fail
@@ -114,64 +115,105 @@ impl RecoveryPolicy {
     }
 }
 
-/// The paper's estimator behind [`RecoverMethod::Diffusion`]: latent DDIM
-/// sampling conditioned on FMPP features, masked-Laplacian refinement, and
-/// DC projection, wrapped in the same [`DcRecovery`] object shape as the
-/// statistical baselines so batching, caching, and the degradation ladder
-/// treat it uniformly. Weights come from a fixed construction seed and each
-/// recovery samples under a seed derived from the stream's own content
-/// ([`content_seed`]), so results are reproducible run to run *and*
-/// bit-identical whether a request is served alone or fused into a
-/// cross-request cohort. Per-DDIM-step spans flow through the process-wide
-/// telemetry handle and therefore carry the submitting request's trace
-/// context.
-struct DiffusionEngine {
-    model: DcDiff,
-    options: RecoverOptions,
+/// A constructed recovery method, cached per worker by [`EngineCache`].
+enum Engine {
+    /// A method without a batched estimate — the statistical baselines and
+    /// MLD — run lane by lane.
+    PerLane(Box<dyn DcRecovery>),
+    /// The paper's estimator behind [`RecoverMethod::Diffusion`]: latent
+    /// DDIM sampling conditioned on FMPP features, DC projection and
+    /// masked-Laplacian refinement. Weights come from a fixed construction
+    /// seed and each lane samples under a seed derived from the stream's own
+    /// content ([`content_seed`]), so results are reproducible run to run
+    /// *and* bit-identical at any cohort width.
+    Diffusion { model: Box<DcDiff>, options: RecoverOptions },
 }
 
-impl DiffusionEngine {
-    fn new(ddim_steps: usize) -> Self {
-        let config = DcDiffConfig::default();
-        let mut options = RecoverOptions::from_config(&config);
-        // `DcDiff::recover_with` panics outside 1..=diffusion_steps; clamp so
-        // a misconfigured job runs at a legal step count instead of unwinding
-        // into the fallback ladder.
-        options.ddim_steps = ddim_steps.clamp(1, config.diffusion_steps);
-        DiffusionEngine { model: DcDiff::new(config, 0xdcd1ff), options }
+impl Engine {
+    fn build(method: &RecoverMethod) -> Self {
+        match *method {
+            RecoverMethod::Tip2006 => Engine::PerLane(Box::new(Tip2006::new())),
+            RecoverMethod::SmartCom => Engine::PerLane(Box::new(SmartCom2019::new())),
+            RecoverMethod::Icip => Engine::PerLane(Box::new(Icip2022::new())),
+            RecoverMethod::Mld { threshold, sweeps } => {
+                Engine::PerLane(Box::new(Mld { threshold, sweeps }))
+            }
+            RecoverMethod::Diffusion { ddim_steps } => {
+                let config = DcDiffConfig::default();
+                let mut options = RecoverOptions::from_config(&config);
+                // The sampler rejects step counts outside 1..=diffusion_steps;
+                // clamp so a misconfigured job runs at a legal step count
+                // instead of failing into the fallback ladder.
+                options.ddim_steps = ddim_steps.clamp(1, config.diffusion_steps);
+                Engine::Diffusion { model: Box::new(DcDiff::new(config, 0xdcd1ff)), options }
+            }
+        }
+    }
+
+    /// Recover every lane, one result per lane in lane order. Diffusion
+    /// lanes share one batched estimate; the other methods resolve lanes one
+    /// by one under each lane's trace. Either way each lane's deadline is
+    /// checked cooperatively and a panic becomes [`EstimateError::Panicked`]
+    /// (per lane, or per cohort for diffusion).
+    fn estimate(&self, lanes: &[CohortLane<'_>]) -> Vec<Result<Image, EstimateError>> {
+        match self {
+            Engine::Diffusion { model, options } => {
+                let jobs: Vec<BatchRecoverJob<'_>> = lanes
+                    .iter()
+                    .map(|lane| BatchRecoverJob {
+                        dropped: lane.dropped,
+                        seed: content_seed(lane.dropped),
+                        deadline: lane.deadline,
+                        trace: lane.trace,
+                    })
+                    .collect();
+                model.try_recover_batch(&jobs, options)
+            }
+            Engine::PerLane(method) => lanes
+                .iter()
+                .map(|lane| {
+                    let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
+                    if lane.deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(EstimateError::DeadlineExceeded { phase: "start" });
+                    }
+                    catch_unwind(AssertUnwindSafe(|| method.recover(lane.dropped)))
+                        .map_err(EstimateError::panicked)
+                })
+                .collect(),
+        }
     }
 }
 
-impl DcRecovery for DiffusionEngine {
+/// Masked-Laplacian refinement with a neutral prior — identical constants
+/// to the CLI `recover --method mld` path.
+struct Mld {
+    threshold: f32,
+    sweeps: usize,
+}
+
+impl DcRecovery for Mld {
     fn name(&self) -> &'static str {
-        "diffusion"
+        "mld"
     }
 
     fn recover(&self, dropped: &CoeffImage) -> Image {
-        // Content-derived seed: the same input pixels regardless of whether
-        // this request runs here or as one lane of a fused cohort.
-        let options = RecoverOptions { seed: content_seed(dropped), ..self.options };
-        self.model.recover_with(dropped, &options)
+        self.recover_coefficients(dropped).to_image()
     }
 
     fn recover_coefficients(&self, dropped: &CoeffImage) -> CoeffImage {
-        dcdiff_core::project_dc(dropped, &self.recover(dropped))
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+        refine_dc_offsets(dropped, dropped, self.threshold, 5e-4, self.sweeps.max(1))
     }
 }
 
-/// Per-worker cache of constructed recovery objects, keyed by method config.
+/// Per-worker cache of constructed recovery engines, keyed by method config.
 ///
-/// The statistical baselines are stateless once built, so one instance can
-/// serve every image in a batch — and every later batch on the same worker.
-/// Also carries the runtime's [`RecoveryPolicy`] so [`execute`] keeps its
-/// signature while the degradation ladder stays configurable per runtime.
+/// Engines are stateless once built, so one instance can serve every image
+/// in a batch — and every later batch on the same worker. Also carries the
+/// runtime's [`RecoveryPolicy`] so [`execute`] keeps its signature while the
+/// degradation ladder stays configurable per runtime.
 #[derive(Default)]
 pub struct EngineCache {
-    engines: Vec<(RecoverMethod, Box<dyn DcRecovery>)>,
+    engines: Vec<(RecoverMethod, Engine)>,
     policy: RecoveryPolicy,
     /// Batch jobs served by an already-constructed engine.
     pub hits: u64,
@@ -199,37 +241,30 @@ impl EngineCache {
     #[cfg(test)]
     fn inject(&mut self, method: RecoverMethod, engine: Box<dyn DcRecovery>) {
         self.engines.retain(|(m, _)| !m.same_config(&method));
-        self.engines.push((method, engine));
+        self.engines.push((method, Engine::PerLane(engine)));
     }
 
-    /// The engine for `method`, constructing it on first use. `None` for
-    /// [`RecoverMethod::Mld`], which is a pure function rather than an
-    /// object.
-    pub fn engine(&mut self, method: &RecoverMethod) -> Option<&dyn DcRecovery> {
-        if matches!(method, RecoverMethod::Mld { .. }) {
-            return None;
-        }
-        if let Some(i) = self.engines.iter().position(|(m, _)| m.same_config(method)) {
-            self.hits += 1;
-            return Some(self.engines[i].1.as_ref());
-        }
-        let engine: Box<dyn DcRecovery> = match method {
-            RecoverMethod::Tip2006 => Box::new(Tip2006::new()),
-            RecoverMethod::SmartCom => Box::new(SmartCom2019::new()),
-            RecoverMethod::Icip => Box::new(Icip2022::new()),
-            RecoverMethod::Diffusion { ddim_steps } => {
-                Box::new(DiffusionEngine::new(*ddim_steps))
+    /// The engine for `method`, constructing it on first use.
+    fn engine(&mut self, method: &RecoverMethod) -> &Engine {
+        match self.engines.iter().position(|(m, _)| m.same_config(method)) {
+            Some(i) => {
+                self.hits += 1;
+                &self.engines[i].1
             }
-            RecoverMethod::Mld { .. } => return None, // early-returned above
-        };
-        self.misses += 1;
-        self.engines.push((*method, engine));
-        self.engines.last().map(|(_, e)| e.as_ref())
+            None => {
+                self.misses += 1;
+                self.engines.push((*method, Engine::build(method)));
+                &self.engines[self.engines.len() - 1].1
+            }
+        }
     }
 }
 
 /// Execute one job, using (and warming) `engines` for Recover work.
 ///
+/// A Recover job runs as a width-1 cohort of [`recover_lanes`], with no
+/// deadline, between [`decode_recover_input`] and [`write_recover_output`]:
+/// the same steps the runtime's workers take for every Recover lane.
 /// Sub-phases (read, transform, entropy-code, write) are wrapped in `tel`
 /// spans; with tracing disabled each span is a no-op.
 ///
@@ -288,11 +323,17 @@ pub fn execute(
         }
         Job::Recover { input, output, method } => {
             let dropped = decode_recover_input(input, tel)?;
-            let estimate = tel.span(names::SPAN_RECOVER_ESTIMATE);
-            let image = recover_guarded(&dropped, method, engines, tel)?;
-            drop(estimate);
-            write_recover_output(output, &image, tel)?;
-            Ok(JobOutput::Recovered { output: output.clone() })
+            let lane = CohortLane { dropped: &dropped, deadline: None, trace: None };
+            match recover_lanes(&[lane], method, engines, tel).pop() {
+                Some(Ok(image)) => {
+                    write_recover_output(output, &image, tel)?;
+                    Ok(JobOutput::Recovered { output: output.clone() })
+                }
+                Some(Err(JobFailure::Error(err))) => Err(err),
+                // A lane without a deadline is never evicted, and the ladder
+                // resolves every lane it is given.
+                _ => Err(JobError::permanent(format!("{input}: recovery produced no image"))),
+            }
         }
         Job::Metrics { reference, test } => {
             let read = tel.span(names::SPAN_METRICS_READ);
@@ -317,10 +358,8 @@ pub fn execute(
     }
 }
 
-/// Read and entropy-decode one Recover input, emitting the same
-/// `recover.read` / `recover.entropy_decode` spans as the sequential
-/// [`execute`] path. Shared with the cohort scheduler so per-lane pre-flight
-/// cannot drift from the one-job-at-a-time behaviour.
+/// Read and entropy-decode one Recover input under the `recover.read` /
+/// `recover.entropy_decode` spans.
 ///
 /// # Errors
 ///
@@ -338,8 +377,7 @@ pub fn decode_recover_input(input: &str, tel: &Telemetry) -> Result<CoeffImage, 
     })
 }
 
-/// Write one recovered image under the sequential path's `recover.write`
-/// span (shared with the cohort scheduler, like [`decode_recover_input`]).
+/// Write one recovered image under the `recover.write` span.
 ///
 /// # Errors
 ///
@@ -349,286 +387,134 @@ pub fn write_recover_output(output: &str, image: &Image, tel: &Telemetry) -> Res
     write_image(output, image)
 }
 
-/// Recover `dropped` with `method`, reusing a cached engine when one exists.
-///
-/// This is the exact computation `dcdiff recover` performs, factored out so
-/// the batch path and the sequential CLI path cannot drift apart.
-pub fn recover_with(
-    dropped: &CoeffImage,
-    method: &RecoverMethod,
-    engines: &mut EngineCache,
-) -> Image {
-    match method {
-        RecoverMethod::Mld { threshold, sweeps } => {
-            // Masked-Laplacian refinement with a neutral prior — identical
-            // constants to the CLI `recover --method mld` path.
-            refine_dc_offsets(dropped, dropped, *threshold, 5e-4, (*sweeps).max(1)).to_image()
-        }
-        _ => engines
-            .engine(method)
-            // analysis: allow(no-panic) — engine() is None only for MLD, which the arm above matches; backstopped by the job-level catch_unwind
-            .expect("non-MLD methods are object-backed")
-            .recover(dropped),
-    }
-}
-
-/// Extract a human-readable message from a caught panic payload.
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "recovery engine panicked".to_string())
-}
-
-/// [`recover_with`] behind the cache's [`RecoveryPolicy`] ladder.
-///
-/// The primary method runs inside `catch_unwind`, fronted by the policy's
-/// per-runtime circuit breaker. On failure (and with fallback enabled) the
-/// job degrades to the TIP-2006 baseline, then to flat DC — always producing
-/// an image, with the tier recorded in telemetry counters
-/// (`estimator.primary_ok` / `estimator.primary_fail` /
-/// `estimator.fallback_baseline` / `estimator.fallback_flat` /
-/// `estimator.breaker_short_circuit`) and the `breaker.state` gauge.
-///
-/// # Errors
-///
-/// With fallback disabled ([`RecoveryPolicy::no_fallback`]), a primary
-/// failure returns a permanent [`JobError`] instead of degrading.
-pub fn recover_guarded(
-    dropped: &CoeffImage,
-    method: &RecoverMethod,
-    engines: &mut EngineCache,
-    tel: &Telemetry,
-) -> Result<Image, JobError> {
-    let policy = engines.policy.clone();
-    if !policy.fallback {
-        return catch_unwind(AssertUnwindSafe(|| recover_with(dropped, method, engines))).map_err(
-            |payload| {
-                JobError::permanent(format!(
-                    "recovery ({}) failed with --no-fallback: {}",
-                    method.name(),
-                    panic_msg(payload)
-                ))
-            },
-        );
-    }
-    if policy.breaker.allow() {
-        match catch_unwind(AssertUnwindSafe(|| recover_with(dropped, method, engines))) {
-            Ok(image) => {
-                policy.breaker.record_success();
-                tel.counter(names::CTR_ESTIMATOR_PRIMARY_OK).inc();
-                tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
-                return Ok(image);
-            }
-            Err(payload) => {
-                policy.breaker.record_failure();
-                tel.counter(names::CTR_ESTIMATOR_PRIMARY_FAIL).inc();
-                tel.warn(format!(
-                    "recovery ({}) failed ({}); degrading to baseline",
-                    method.name(),
-                    panic_msg(payload)
-                ));
-            }
-        }
-    } else {
-        tel.counter(names::CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT).inc();
-    }
-    tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
-    // Baseline tier: TIP-2006 is training-free and has no failure modes of
-    // its own, but a panic here must not kill the ladder either.
-    let baseline = catch_unwind(AssertUnwindSafe(|| {
-        engines
-            .engine(&RecoverMethod::Tip2006)
-            // analysis: allow(no-panic) — engine() is None only for MLD; this unwind is caught by the enclosing catch_unwind and falls through to the flat tier
-            .expect("tip2006 is object-backed")
-            .recover(dropped)
-    }));
-    match baseline {
-        Ok(image) => {
-            tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
-            Ok(image)
-        }
-        Err(_) => {
-            // Flat-DC tier: decode with the dropped DC left at zero. Cannot
-            // fail; the picture is degraded but structurally valid.
-            tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
-            Ok(dropped.to_image())
-        }
-    }
-}
-
-/// One lane of a fused Recover cohort: the already-decoded input plus its
-/// serving metadata.
+/// One lane of a Recover cohort: the already-decoded input plus its serving
+/// metadata.
+#[derive(Debug, Clone, Copy)]
 pub struct CohortLane<'a> {
     /// DC-dropped coefficients (read and entropy-decoded by the caller).
     pub dropped: &'a CoeffImage,
-    /// Absolute deadline; expiry mid-flight evicts this lane only.
+    /// Absolute deadline; expiry evicts this lane only.
     pub deadline: Option<Instant>,
     /// Submitting request's trace context, re-installed for this lane's
-    /// per-phase spans.
+    /// spans.
     pub trace: Option<dcdiff_telemetry::TraceCtx>,
 }
 
-/// Per-lane non-image outcome of [`recover_cohort_guarded`].
-#[derive(Debug)]
-pub enum CohortFailure {
-    /// The lane's deadline expired mid-flight; it was evicted from the
-    /// cohort at the named phase without aborting its batch-mates.
-    Deadline(&'static str),
-    /// With fallback disabled, a primary failure surfaces as a job error.
-    Error(JobError),
-}
-
-/// Run the fused batched primary: one `DcDiff::try_recover_batch` call
-/// covering every lane, with per-lane content seeds so each result is
-/// bit-identical to a width-1 recovery of the same stream.
-fn run_cohort_primary(
+/// The degradation ladder over a cohort of K ≥ 1 same-method lanes: the one
+/// way any Recover lane is estimated.
+///
+/// The selected method is the primary tier. A diffusion engine recovers the
+/// whole cohort in one batched `DcDiff::try_recover_batch` call (one U-Net
+/// forward per DDIM step for every lane, each lane bit-identical to a
+/// width-1 run); the other methods resolve the lanes one by one. The
+/// cache's [`RecoveryPolicy`] breaker fronts the primary. A lane whose
+/// primary fails then degrades alone — TIP-2006 baseline, then flat DC —
+/// always producing an image, with the tier recorded in telemetry counters
+/// (`estimator.primary_ok` / `estimator.primary_fail` /
+/// `estimator.fallback_baseline` / `estimator.fallback_flat` /
+/// `estimator.breaker_short_circuit`) and the `breaker.state` gauge. Each
+/// lane gets a `recover.estimate` span under its own trace.
+///
+/// A lane whose deadline expires resolves to
+/// [`JobFailure::DeadlineExceeded`] rather than degrading: a blown deadline
+/// is the lane's budget running out, not an engine fault, so it neither
+/// trips the breaker nor buys a slower tier the caller has no time left for.
+/// With fallback disabled ([`RecoveryPolicy::no_fallback`]), a primary
+/// failure resolves to a permanent [`JobError`] instead of degrading.
+///
+/// Returns one result per lane, in lane order.
+pub fn recover_lanes(
     lanes: &[CohortLane<'_>],
     method: &RecoverMethod,
     engines: &mut EngineCache,
     tel: &Telemetry,
-) -> Vec<Result<Image, EstimateError>> {
-    let jobs: Vec<BatchRecoverJob<'_>> = lanes
-        .iter()
-        .map(|lane| BatchRecoverJob {
-            dropped: lane.dropped,
-            seed: content_seed(lane.dropped),
-            deadline: lane.deadline,
-            trace: lane.trace,
-        })
-        .collect();
-    let start = Instant::now();
-    let results = {
-        let engine = engines
-            .engine(method)
-            // analysis: allow(no-panic) — recover_cohort_guarded probes the downcast before dispatching here
-            .expect("cohort method is object-backed");
-        let diffusion = engine
-            .as_any()
-            .and_then(|any| any.downcast_ref::<DiffusionEngine>())
-            // analysis: allow(no-panic) — same probe guarantees a diffusion-backed engine
-            .expect("cohort engine is diffusion-backed");
-        diffusion.model.try_recover_batch(&jobs, &diffusion.options)
-    };
-    let end = Instant::now();
-    // The estimate phase is physically shared by the cohort; emit one
-    // complete `recover.estimate` span per lane under its own trace so every
-    // request's causal chain still shows the phase.
-    for lane in lanes {
-        let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
-        tel.record_span(names::SPAN_RECOVER_ESTIMATE, start, end);
-    }
-    results
-}
-
-/// The cohort counterpart of [`recover_guarded`]: K same-config Diffusion
-/// lanes share one batched estimate (one U-Net forward per DDIM step for
-/// the whole cohort), then each lane is taken through the sequential
-/// degradation ladder individually — per-lane breaker accounting, TIP-2006
-/// baseline, flat DC — so a single broken lane degrades alone.
-///
-/// Deadline-evicted lanes report [`CohortFailure::Deadline`] rather than
-/// degrading: a blown deadline is the lane's budget running out, not an
-/// engine fault, so it neither trips the breaker nor buys a slower tier the
-/// caller has no time left for.
-///
-/// Returns `None` when `method`'s engine has no fused path (it is not
-/// diffusion-backed); the caller then falls back to per-job
-/// [`recover_guarded`].
-pub fn recover_cohort_guarded(
-    lanes: &[CohortLane<'_>],
-    method: &RecoverMethod,
-    engines: &mut EngineCache,
-    tel: &Telemetry,
-) -> Option<Vec<Result<Image, CohortFailure>>> {
-    // Capability probe: only a diffusion-backed engine can fuse lanes.
-    engines
-        .engine(method)?
-        .as_any()?
-        .downcast_ref::<DiffusionEngine>()?;
+) -> Vec<Result<Image, JobFailure>> {
     let policy = engines.policy.clone();
-
-    if !policy.fallback {
-        let primary = run_cohort_primary(lanes, method, engines, tel);
-        return Some(
-            primary
-                .into_iter()
-                .map(|result| match result {
-                    Ok(image) => Ok(image),
-                    Err(EstimateError::DeadlineExceeded { phase }) => {
-                        Err(CohortFailure::Deadline(phase))
+    let start = Instant::now();
+    let primary: Vec<Option<Result<Image, JobFailure>>> = if policy.fallback
+        && !policy.breaker.allow()
+    {
+        for _ in lanes {
+            tel.counter(names::CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT).inc();
+        }
+        lanes.iter().map(|_| None).collect()
+    } else {
+        engines
+            .engine(method)
+            .estimate(lanes)
+            .into_iter()
+            .map(|result| match result {
+                Ok(image) => {
+                    if policy.fallback {
+                        policy.breaker.record_success();
+                        tel.counter(names::CTR_ESTIMATOR_PRIMARY_OK).inc();
                     }
-                    Err(err) => Err(CohortFailure::Error(JobError::permanent(format!(
+                    Some(Ok(image))
+                }
+                Err(EstimateError::DeadlineExceeded { .. }) => {
+                    Some(Err(JobFailure::DeadlineExceeded))
+                }
+                Err(err) if !policy.fallback => {
+                    Some(Err(JobFailure::Error(JobError::permanent(format!(
                         "recovery ({}) failed with --no-fallback: {err}",
                         method.name()
-                    )))),
-                })
-                .collect(),
-        );
-    }
-
-    let mut out: Vec<Option<Result<Image, CohortFailure>>> =
-        lanes.iter().map(|_| None).collect();
-    if policy.breaker.allow() {
-        let primary = run_cohort_primary(lanes, method, engines, tel);
-        for (slot, result) in out.iter_mut().zip(primary) {
-            match result {
-                Ok(image) => {
-                    policy.breaker.record_success();
-                    tel.counter(names::CTR_ESTIMATOR_PRIMARY_OK).inc();
-                    *slot = Some(Ok(image));
-                }
-                Err(EstimateError::DeadlineExceeded { phase }) => {
-                    *slot = Some(Err(CohortFailure::Deadline(phase)));
+                    )))))
                 }
                 Err(err) => {
                     policy.breaker.record_failure();
                     tel.counter(names::CTR_ESTIMATOR_PRIMARY_FAIL).inc();
                     tel.warn(format!(
-                        "cohort lane recovery ({}) failed ({err}); degrading to baseline",
+                        "recovery ({}) failed ({err}); degrading to baseline",
                         method.name()
                     ));
+                    None
                 }
-            }
-        }
-    } else {
-        for _ in lanes {
-            tel.counter(names::CTR_ESTIMATOR_BREAKER_SHORT_CIRCUIT).inc();
-        }
+            })
+            .collect()
+    };
+    if policy.fallback {
+        tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
     }
-    tel.gauge(names::GAUGE_BREAKER_STATE).set(policy.breaker.state().as_gauge());
-    // Lanes the primary did not resolve walk the sequential ladder's lower
-    // tiers one by one, under their own trace context.
-    for (lane, slot) in lanes.iter().zip(out.iter_mut()) {
-        if slot.is_some() {
-            continue;
-        }
+    // Lanes the primary did not resolve walk the lower tiers one by one.
+    let results: Vec<Result<Image, JobFailure>> = primary
+        .into_iter()
+        .zip(lanes)
+        .map(|(resolved, lane)| {
+            resolved.unwrap_or_else(|| {
+                // Baseline tier: TIP-2006 is training-free and has no failure
+                // modes of its own, but a panic here must not kill the ladder
+                // either. The lane already spent its primary attempt, so the
+                // baseline runs without the deadline.
+                let unbounded = CohortLane { deadline: None, ..*lane };
+                let baseline = engines
+                    .engine(&RecoverMethod::Tip2006)
+                    .estimate(std::slice::from_ref(&unbounded))
+                    .pop();
+                Ok(match baseline {
+                    Some(Ok(image)) => {
+                        tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
+                        image
+                    }
+                    // Flat-DC tier: decode with the dropped DC left at zero.
+                    // Cannot fail; the picture is degraded but structurally
+                    // valid.
+                    _ => {
+                        tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
+                        lane.dropped.to_image()
+                    }
+                })
+            })
+        })
+        .collect();
+    // The estimate phase is physically shared by the cohort; emit one
+    // complete `recover.estimate` span per lane under its own trace so every
+    // request's causal chain still shows the phase.
+    let end = Instant::now();
+    for lane in lanes {
         let _trace = lane.trace.map(dcdiff_telemetry::install_trace);
-        let baseline = catch_unwind(AssertUnwindSafe(|| {
-            engines
-                .engine(&RecoverMethod::Tip2006)
-                // analysis: allow(no-panic) — engine() is None only for MLD; this unwind is caught by the enclosing catch_unwind and falls through to the flat tier
-                .expect("tip2006 is object-backed")
-                .recover(lane.dropped)
-        }));
-        *slot = Some(Ok(match baseline {
-            Ok(image) => {
-                tel.counter(names::CTR_ESTIMATOR_FALLBACK_BASELINE).inc();
-                image
-            }
-            Err(_) => {
-                tel.counter(names::CTR_ESTIMATOR_FALLBACK_FLAT).inc();
-                lane.dropped.to_image()
-            }
-        }));
+        tel.record_span(names::SPAN_RECOVER_ESTIMATE, start, end);
     }
-    Some(
-        out.into_iter()
-            // analysis: allow(no-panic) — every lane is resolved by the primary match or the ladder loop above
-            .map(|slot| slot.expect("every cohort lane resolves"))
-            .collect(),
-    )
+    results
 }
 
 #[cfg(test)]
@@ -638,44 +524,40 @@ mod tests {
     #[test]
     fn engine_cache_reuses_per_config() {
         let mut cache = EngineCache::new();
-        assert!(cache.engine(&RecoverMethod::Tip2006).is_some());
-        assert!(cache.engine(&RecoverMethod::Tip2006).is_some());
-        assert!(cache.engine(&RecoverMethod::Icip).is_some());
-        assert_eq!(cache.misses, 2);
+        cache.engine(&RecoverMethod::Tip2006);
+        cache.engine(&RecoverMethod::Tip2006);
+        cache.engine(&RecoverMethod::Icip);
+        cache.engine(&RecoverMethod::Mld { threshold: 10.0, sweeps: 5 });
+        cache.engine(&RecoverMethod::Mld { threshold: 10.0, sweeps: 6 });
+        assert_eq!(cache.misses, 4);
         assert_eq!(cache.hits, 1);
-        assert!(cache
-            .engine(&RecoverMethod::Mld { threshold: 10.0, sweeps: 5 })
-            .is_none());
     }
 
     #[test]
-    fn diffusion_engine_recovers_and_projects() {
+    fn diffusion_engine_recovers_and_is_cached_per_step_count() {
+        let tel = Telemetry::new();
         let mut cache = EngineCache::new();
         let method = RecoverMethod::Diffusion { ddim_steps: 2 };
         let dropped = dropped_coeffs();
-        let engine = cache.engine(&method).expect("diffusion is object-backed");
-        assert_eq!(engine.name(), "diffusion");
-        let image = recover_with(&dropped, &method, &mut cache);
+        let image = recover_one(&dropped, &method, &mut cache, &tel).expect("healthy lane");
         assert_eq!(image.dims(), (32, 32));
         // The cache keys on ddim_steps: same count hits, different misses.
-        cache.engine(&method).unwrap();
-        assert_eq!(cache.misses, 1);
-        assert!(cache.hits >= 1);
-        let projected = cache
-            .engine(&method)
-            .unwrap()
-            .recover_coefficients(&dropped);
-        assert_eq!(projected.to_image().dims(), (32, 32));
+        recover_one(&dropped, &method, &mut cache, &tel).expect("healthy lane");
+        assert_eq!((cache.misses, cache.hits), (1, 1));
+        cache.engine(&RecoverMethod::Diffusion { ddim_steps: 3 });
+        assert_eq!(cache.misses, 2);
     }
 
     #[test]
     fn diffusion_engine_clamps_illegal_step_counts() {
-        // Zero steps would panic inside DcDiff::recover_with; the engine
-        // clamps to a legal count instead.
-        let engine = DiffusionEngine::new(0);
-        assert_eq!(engine.options.ddim_steps, 1);
-        let huge = DiffusionEngine::new(usize::MAX);
-        assert_eq!(huge.options.ddim_steps, DcDiffConfig::default().diffusion_steps);
+        // Zero steps would be rejected by the sampler; the engine clamps to
+        // a legal count instead.
+        let steps = |ddim_steps| match Engine::build(&RecoverMethod::Diffusion { ddim_steps }) {
+            Engine::Diffusion { options, .. } => options.ddim_steps,
+            _ => 0,
+        };
+        assert_eq!(steps(0), 1);
+        assert_eq!(steps(usize::MAX), DcDiffConfig::default().diffusion_steps);
     }
 
     /// Test double standing in for a broken/mis-deployed recovery engine:
@@ -706,6 +588,22 @@ mod tests {
         JpegEncoder::new(50).to_coefficients(&image).drop_dc(DcDropMode::KeepCorners)
     }
 
+    fn lane(dropped: &CoeffImage) -> CohortLane<'_> {
+        CohortLane { dropped, deadline: None, trace: None }
+    }
+
+    /// The ladder over a width-1 cohort.
+    fn recover_one(
+        dropped: &CoeffImage,
+        method: &RecoverMethod,
+        cache: &mut EngineCache,
+        tel: &Telemetry,
+    ) -> Result<Image, JobFailure> {
+        let mut out = recover_lanes(&[lane(dropped)], method, cache, tel);
+        assert_eq!(out.len(), 1, "one result per lane");
+        out.remove(0)
+    }
+
     fn silence_panics<T>(f: impl FnOnce() -> T) -> T {
         // The injected engines panic by design; keep test output readable.
         let prev = std::panic::take_hook();
@@ -723,8 +621,7 @@ mod tests {
             let mut cache = EngineCache::new();
             cache.inject(RecoverMethod::Icip, Box::new(PanickingRecovery(calls.clone())));
             let dropped = dropped_coeffs();
-            let image =
-                recover_guarded(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap();
+            let image = recover_one(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap();
             assert_eq!(image.dims(), (32, 32));
             assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
             assert_eq!(tel.counter("estimator.primary_fail").get(), 1);
@@ -742,8 +639,7 @@ mod tests {
             // Both the selected method AND the baseline tier are broken.
             cache.inject(RecoverMethod::Tip2006, Box::new(PanickingRecovery(calls.clone())));
             let dropped = dropped_coeffs();
-            let image =
-                recover_guarded(&dropped, &RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
+            let image = recover_one(&dropped, &RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
             assert_eq!(image.dims(), (32, 32));
             assert_eq!(tel.counter("estimator.fallback_flat").get(), 1);
         });
@@ -762,7 +658,7 @@ mod tests {
             cache.inject(RecoverMethod::Icip, Box::new(PanickingRecovery(calls.clone())));
             let dropped = dropped_coeffs();
             for _ in 0..4 {
-                recover_guarded(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap();
+                recover_one(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap();
             }
             // Two failures trip the breaker; the last two jobs never touch
             // the primary engine and go straight to the baseline tier.
@@ -774,6 +670,23 @@ mod tests {
     }
 
     #[test]
+    fn panicking_lane_degrades_alone_in_a_wide_cohort() {
+        silence_panics(|| {
+            let tel = Telemetry::new();
+            let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let mut cache = EngineCache::new();
+            cache.inject(RecoverMethod::Icip, Box::new(PanickingRecovery(calls.clone())));
+            let inputs = [dropped_coeffs_filled(80.0), dropped_coeffs_filled(160.0)];
+            let lanes: Vec<CohortLane<'_>> = inputs.iter().map(lane).collect();
+            let out = recover_lanes(&lanes, &RecoverMethod::Icip, &mut cache, &tel);
+            // Non-batched methods resolve lanes one by one inside the ladder.
+            assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 2);
+            assert!(out.iter().all(Result::is_ok));
+            assert_eq!(tel.counter("estimator.fallback_baseline").get(), 2);
+        });
+    }
+
+    #[test]
     fn no_fallback_surfaces_a_permanent_error() {
         silence_panics(|| {
             let tel = Telemetry::new();
@@ -781,8 +694,10 @@ mod tests {
             let mut cache = EngineCache::with_policy(RecoveryPolicy::no_fallback());
             cache.inject(RecoverMethod::Icip, Box::new(PanickingRecovery(calls)));
             let dropped = dropped_coeffs();
-            let err =
-                recover_guarded(&dropped, &RecoverMethod::Icip, &mut cache, &tel).unwrap_err();
+            let err = match recover_one(&dropped, &RecoverMethod::Icip, &mut cache, &tel) {
+                Err(JobFailure::Error(err)) => err,
+                other => panic!("expected a job error, got {other:?}"),
+            };
             assert_eq!(err.class, crate::job::ErrorClass::Permanent);
             assert!(err.message.contains("--no-fallback"), "{}", err.message);
             assert!(err.message.contains("injected engine failure"), "{}", err.message);
@@ -794,7 +709,7 @@ mod tests {
         let tel = Telemetry::new();
         let mut cache = EngineCache::new();
         let dropped = dropped_coeffs();
-        let image = recover_guarded(&dropped, &RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
+        let image = recover_one(&dropped, &RecoverMethod::Tip2006, &mut cache, &tel).unwrap();
         assert_eq!(image.dims(), (32, 32));
         assert_eq!(tel.counter("estimator.primary_ok").get(), 1);
         assert_eq!(tel.counter("estimator.fallback_baseline").get(), 0);
@@ -802,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn cohort_lanes_match_the_sequential_engine_bit_exactly() {
+    fn cohort_lanes_match_width_1_recoveries_bit_exactly() {
         let tel = Telemetry::new();
         let mut cache = EngineCache::new();
         let method = RecoverMethod::Diffusion { ddim_steps: 2 };
@@ -813,22 +728,18 @@ mod tests {
             .snapshot()
             .count;
         let inputs = [dropped_coeffs_filled(80.0), dropped_coeffs_filled(160.0)];
-        // Sequential reference: each stream recovered alone.
+        // Reference: each stream recovered alone.
         let solo: Vec<Image> = inputs
             .iter()
-            .map(|dropped| recover_with(dropped, &method, &mut cache))
+            .map(|dropped| recover_one(dropped, &method, &mut cache, &tel).expect("solo lane"))
             .collect();
-        let lanes: Vec<CohortLane<'_>> = inputs
-            .iter()
-            .map(|dropped| CohortLane { dropped, deadline: None, trace: None })
-            .collect();
-        let fused = recover_cohort_guarded(&lanes, &method, &mut cache, &tel)
-            .expect("diffusion engines have a fused path");
+        let lanes: Vec<CohortLane<'_>> = inputs.iter().map(lane).collect();
+        let fused = recover_lanes(&lanes, &method, &mut cache, &tel);
         for (lane, reference) in fused.into_iter().zip(&solo) {
             let image = lane.expect("healthy lane recovers");
             assert_eq!(&image, reference, "cohort lane diverged from width-1 output");
         }
-        assert_eq!(tel.counter("estimator.primary_ok").get(), 2);
+        assert_eq!(tel.counter("estimator.primary_ok").get(), 4);
         assert_eq!(tel.counter("estimator.fallback_baseline").get(), 0);
         let widths = dcdiff_telemetry::global().histogram("diffusion.batch.width").snapshot();
         assert!(widths.count > widths_before, "fused steps must observe cohort width");
@@ -836,48 +747,25 @@ mod tests {
     }
 
     #[test]
-    fn cohort_path_is_none_for_non_diffusion_methods() {
+    fn expired_lane_is_evicted_without_aborting_batch_mates() {
         let tel = Telemetry::new();
         let mut cache = EngineCache::new();
-        let dropped = dropped_coeffs();
-        let lanes = [CohortLane { dropped: &dropped, deadline: None, trace: None }];
-        assert!(recover_cohort_guarded(&lanes, &RecoverMethod::Tip2006, &mut cache, &tel)
-            .is_none());
-        assert!(recover_cohort_guarded(
-            &lanes,
-            &RecoverMethod::Mld { threshold: 10.0, sweeps: 5 },
-            &mut cache,
-            &tel
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn expired_cohort_lane_is_evicted_without_aborting_batch_mates() {
-        let tel = Telemetry::new();
-        let mut cache = EngineCache::new();
-        let method = RecoverMethod::Diffusion { ddim_steps: 2 };
         let survivor_input = dropped_coeffs_filled(120.0);
         let doomed_input = dropped_coeffs_filled(60.0);
-        let reference = recover_with(&survivor_input, &method, &mut cache);
-        let lanes = [
-            CohortLane { dropped: &survivor_input, deadline: None, trace: None },
-            CohortLane {
-                dropped: &doomed_input,
-                // Already expired: evicted at the first cooperative check.
-                deadline: Some(Instant::now() - Duration::from_secs(1)),
-                trace: None,
-            },
-        ];
-        let mut fused = recover_cohort_guarded(&lanes, &method, &mut cache, &tel)
-            .expect("diffusion engines have a fused path");
-        let doomed = fused.pop().unwrap();
-        let survivor = fused.pop().unwrap();
-        assert!(
-            matches!(doomed, Err(CohortFailure::Deadline(_))),
-            "expired lane must report eviction, got {doomed:?}"
-        );
-        assert_eq!(survivor.expect("survivor recovers"), reference);
+        // Already expired: evicted at the first cooperative check.
+        let expired = Some(Instant::now() - Duration::from_secs(1));
+        for method in [RecoverMethod::Diffusion { ddim_steps: 2 }, RecoverMethod::Tip2006] {
+            let reference = recover_one(&survivor_input, &method, &mut cache, &tel).unwrap();
+            let lanes = [
+                lane(&survivor_input),
+                CohortLane { deadline: expired, ..lane(&doomed_input) },
+            ];
+            let mut fused = recover_lanes(&lanes, &method, &mut cache, &tel);
+            let doomed = fused.pop().unwrap();
+            let survivor = fused.pop().unwrap();
+            assert_eq!(doomed, Err(JobFailure::DeadlineExceeded), "{}", method.name());
+            assert_eq!(survivor.expect("survivor recovers"), reference);
+        }
         // Eviction is the lane's budget, not an engine fault: no breaker
         // failure, no fallback tier.
         assert_eq!(tel.counter("estimator.primary_fail").get(), 0);

@@ -12,7 +12,9 @@
 //! * [`BoundedQueue`] — the bounded MPMC backpressure point (blocking or
 //!   fail-fast submission, drain vs. abort close);
 //! * [`Runtime`] — a fixed worker pool with micro-batching of Recover jobs
-//!   sharing a config (one engine per batch instead of one per image),
+//!   sharing a config (one engine per batch instead of one per image), every
+//!   Recover job running as a lane of a cohort through the one degradation
+//!   ladder [`recover_lanes`],
 //!   deadline enforcement, and bounded retry with exponential backoff;
 //! * [`RuntimeStats`] — an atomic counter block whose [`RuntimeStats::snapshot`]
 //!   the CLI prints after `dcdiff batch`;
@@ -55,8 +57,8 @@ pub mod runtime;
 pub mod stats;
 
 pub use exec::{
-    decode_recover_input, execute, recover_cohort_guarded, recover_guarded, recover_with,
-    write_recover_output, CohortFailure, CohortLane, EngineCache, RecoveryPolicy,
+    decode_recover_input, execute, recover_lanes, write_recover_output, CohortLane, EngineCache,
+    RecoveryPolicy,
 };
 pub use job::{
     CodingOpts, ErrorClass, Job, JobError, JobFailure, JobId, JobOutput, JobResult, JobSpec,

@@ -7,12 +7,17 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dcdiff_jpeg::CoeffImage;
 use dcdiff_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use dcdiff_telemetry::names;
 
-use crate::exec::{execute, EngineCache, RecoveryPolicy};
+use crate::exec::{
+    decode_recover_input, execute, recover_lanes, write_recover_output, CohortLane, EngineCache,
+    RecoveryPolicy,
+};
 use crate::job::{
-    ErrorClass, Job, JobFailure, JobId, JobOutput, JobResult, JobSpec, RecoverMethod, Stage,
+    ErrorClass, Job, JobError, JobFailure, JobId, JobOutput, JobResult, JobSpec, RecoverMethod,
+    Stage,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{RuntimeStats, StatsSnapshot};
@@ -40,9 +45,8 @@ pub struct RuntimeConfig {
     /// cohort; per-lane content seeding keeps each result bit-identical to
     /// a width-1 run. Cohorts are carved from the already-assembled
     /// micro-batch, so a partial cohort flushes immediately rather than
-    /// waiting for more traffic; `1` disables fusion (sequential per-job
-    /// execution, the pre-cohort behaviour). Effective width is also capped
-    /// by `batch_max`.
+    /// waiting for more traffic; `1` runs every job as its own width-1
+    /// cohort. Effective width is also capped by `batch_max`.
     pub diffusion_batch_width: usize,
     /// Observability handle: span tracing (when enabled), latency
     /// histograms, the `runtime.queue_depth` gauge and the rate-limited
@@ -509,30 +513,32 @@ fn worker_loop(
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
         let exec_span = tel.span(names::SPAN_BATCH_EXEC);
-        // Diffusion micro-batches are fused into DDIM cohorts: one U-Net
-        // forward per step serves every lane. Everything else (and width-1
-        // configs) runs the sequential per-job path.
-        let cohort_width = config.diffusion_batch_width.max(1);
-        let fuse = cohort_width > 1
-            && batch.len() > 1
-            && matches!(
-                batch[0].job.recover_method(),
-                Some(RecoverMethod::Diffusion { .. })
-            );
-        if fuse {
-            while !batch.is_empty() {
-                let take = batch.len().min(cohort_width);
-                let cohort: Vec<Queued> = batch.drain(..take).collect();
-                run_cohort(cohort, stats, results, config, rt, &mut engines);
+        match batch[0].job.recover_method().copied() {
+            // Every Recover job runs as a lane of a cohort. Diffusion lanes
+            // fuse up to `diffusion_batch_width` per cohort, one U-Net
+            // forward per DDIM step for every lane; the other methods have
+            // no batched estimate, so each of their jobs is a width-1 cohort
+            // and is delivered as soon as it is written.
+            Some(method) => {
+                let width = match method {
+                    RecoverMethod::Diffusion { .. } => config.diffusion_batch_width.max(1),
+                    _ => 1,
+                };
+                while !batch.is_empty() {
+                    let take = batch.len().min(width);
+                    let cohort: Vec<Queued> = batch.drain(..take).collect();
+                    run_cohort(&method, cohort, stats, results, config, rt, &mut engines);
+                }
             }
-        } else {
-            for mut entry in batch {
-                let notify = entry.notify.take();
-                // Re-install the submitter's trace for the execution spans
-                // (job.*, recover.*, per-DDIM-step) emitted on this thread.
-                let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-                let result = run_one(entry, stats, config, rt, &mut engines);
-                finish(result, notify, stats, results);
+            None => {
+                for mut entry in batch {
+                    let notify = entry.notify.take();
+                    // Re-install the submitter's trace for the execution
+                    // spans emitted on this thread.
+                    let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
+                    let result = run_one(entry, stats, config, rt, &mut engines);
+                    finish(result, notify, stats, results);
+                }
             }
         }
         drop(exec_span);
@@ -563,34 +569,74 @@ fn finish(
     }
 }
 
-/// Per-lane bookkeeping of an in-flight DDIM cohort.
-struct CohortLaneState {
-    /// The queue entry; taken when the lane is delegated to [`run_one`].
-    entry: Option<Queued>,
-    notify: Option<ResultHandle>,
-    /// Set once the lane reaches a terminal disposition.
-    result: Option<JobResult>,
-    /// Decoded input awaiting the fused estimate.
-    dropped: Option<dcdiff_jpeg::CoeffImage>,
-    /// Start of this lane's execution (post-deadline-gate), for the job
-    /// span and the `exec` accounting.
-    exec_start: Instant,
+/// The gate every job passes before it starts: a job whose deadline has
+/// already passed fails without executing.
+fn missed_start(entry: &Queued, stats: &RuntimeStats, tel: &Telemetry) -> Option<JobResult> {
+    if entry.deadline.is_none_or(|deadline| Instant::now() <= deadline) {
+        return None;
+    }
+    stats.bump(&stats.deadline_missed);
+    tel.warn(format!("job {} missed its deadline before starting", entry.id));
+    Some(JobResult {
+        id: entry.id,
+        job: entry.job.clone(),
+        outcome: Err(JobFailure::DeadlineExceeded),
+        wall: entry.submitted.elapsed(),
+        exec: Duration::ZERO,
+        attempts: 0,
+    })
 }
 
-/// Execute a micro-batch slice of same-config Diffusion Recover jobs as one
-/// fused cohort: per-lane pre-flight (deadline gate, ingest stall, read and
-/// entropy-decode), one shared batched estimate stacking every live lane's
-/// latents per DDIM step, then per-lane write and accounting.
+/// Whether a failed attempt gets another one: transient errors retry while
+/// the budget lasts and the deadline has not passed.
+fn retryable(err: &JobError, attempts: u32, entry: &Queued) -> bool {
+    err.class == ErrorClass::Transient
+        && attempts <= entry.max_retries
+        && entry.deadline.is_none_or(|d| Instant::now() <= d)
+}
+
+/// Exponential backoff before retry attempt `attempts + 1`:
+/// `base * 2^(attempts-1)`, capped at 2^10 to keep the worst sleep bounded.
+fn backoff(config: &RuntimeConfig, attempts: u32) -> Duration {
+    config.backoff_base * 2u32.pow((attempts - 1).min(10))
+}
+
+/// The input and output paths of a Recover job.
+fn recover_io(job: &Job) -> Result<(&str, &str), JobError> {
+    match job {
+        Job::Recover { input, output, .. } => Ok((input, output)),
+        _ => Err(JobError::permanent("not a Recover job")),
+    }
+}
+
+/// One Recover lane of a cohort: its queue entry, where its result goes, and
+/// its progress.
+struct Lane {
+    entry: Queued,
+    notify: Option<ResultHandle>,
+    /// When the lane passed the deadline gate: the start of its job span.
+    began: Instant,
+    attempts: u32,
+}
+
+/// Execute a cohort of same-config Recover jobs, K ≥ 1: the one way any
+/// Recover job runs.
 ///
-/// Results are bit-identical to running each entry through [`run_one`] back
-/// to back — per-sample content seeding makes the output independent of
-/// cohort composition — with one extension: a lane whose deadline expires
-/// mid-flight is evicted (fails with [`JobFailure::DeadlineExceeded`])
-/// without aborting its batch-mates. Lanes that fail *before* the fused
-/// estimate are handed back to [`run_one`] (with their already-served
-/// ingest stall cleared) so retry/backoff semantics stay identical to the
-/// sequential path.
+/// Per lane, in arrival order: the deadline gate, then the ingest stall.
+/// Then attempt rounds over the lanes still pending: read and entropy-decode
+/// each lane, estimate every decoded lane with one call into the
+/// degradation ladder [`recover_lanes`] (a shared batched estimate for
+/// diffusion), and write each lane. A lane whose read, decode or write fails
+/// transiently retries in the next round after an exponential backoff, while
+/// its budget and deadline last; every other outcome is delivered as soon as
+/// its round ends. A lane whose deadline expires mid-flight is evicted with
+/// [`JobFailure::DeadlineExceeded`] without aborting its batch-mates.
+///
+/// A lane's `exec` is the time from the start of its last round — after
+/// every ingest stall or backoff — until its outcome, so it never includes
+/// a stall, its own or a batch-mate's.
 fn run_cohort(
+    method: &RecoverMethod,
     cohort: Vec<Queued>,
     stats: &RuntimeStats,
     results: &Mutex<Vec<JobResult>>,
@@ -599,170 +645,113 @@ fn run_cohort(
     engines: &mut EngineCache,
 ) {
     let tel = &config.telemetry;
-    let method = cohort[0].job.recover_method().copied();
-    let mut lanes: Vec<CohortLaneState> = cohort
-        .into_iter()
-        .map(|mut entry| CohortLaneState {
-            notify: entry.notify.take(),
-            entry: Some(entry),
-            result: None,
-            dropped: None,
-            exec_start: Instant::now(),
-        })
-        .collect();
-
-    // Pre-flight, per lane in arrival order (matching the sequential path).
-    for lane in &mut lanes {
-        let Some(entry) = lane.entry.as_mut() else { continue };
+    let mut pending: Vec<Lane> = Vec::with_capacity(cohort.len());
+    for mut entry in cohort {
+        let notify = entry.notify.take();
         let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-        if let Some(deadline) = entry.deadline {
-            if Instant::now() > deadline {
-                stats.bump(&stats.deadline_missed);
-                tel.warn(format!("job {} missed its deadline before starting", entry.id));
-                lane.result = Some(JobResult {
-                    id: entry.id,
-                    job: entry.job.clone(),
-                    outcome: Err(JobFailure::DeadlineExceeded),
-                    wall: entry.submitted.elapsed(),
-                    exec: Duration::ZERO,
-                    attempts: 0,
-                });
-                continue;
-            }
+        if let Some(missed) = missed_start(&entry, stats, tel) {
+            finish(missed, notify, stats, results);
+            continue;
         }
-        lane.exec_start = Instant::now();
-        if let Some(stall) = entry.ingest.take() {
-            // Consumed here so a lane later delegated to run_one does not
-            // serve its uplink stall twice.
+        let began = Instant::now();
+        if let Some(stall) = entry.ingest {
+            // Simulated sender-uplink wait (see `JobSpec::ingest`). It counts
+            // against the wall clock but not `exec`; like execution itself it
+            // is not preempted by the deadline once started.
             let _ingest = tel.span(names::SPAN_JOB_INGEST);
             std::thread::sleep(stall);
         }
-        let input = match &entry.job {
-            Job::Recover { input, .. } => input.clone(),
-            // Defensive: only Recover jobs are routed here; anything else
-            // still gets a terminal result via the sequential path.
-            _ => {
-                let entry = lane
-                    .entry
-                    .take()
-                    // analysis: allow(no-panic) — the lane's entry was just matched as present
-                    .expect("undelegated lane owns its entry");
-                lane.result = Some(run_one(entry, stats, config, rt, engines));
-                continue;
-            }
-        };
-        match crate::exec::decode_recover_input(&input, tel) {
-            Ok(coeffs) => lane.dropped = Some(coeffs),
-            Err(_) => {
-                // Pre-estimate failure: the sequential path owns retry,
-                // backoff and error classification. Re-reading the input is
-                // the cost of not duplicating that logic here.
-                let entry = lane
-                    .entry
-                    .take()
-                    // analysis: allow(no-panic) — the lane's entry is present; it is only taken on this delegation path
-                    .expect("undelegated lane owns its entry");
-                lane.result = Some(run_one(entry, stats, config, rt, engines));
-            }
-        }
+        pending.push(Lane { entry, notify, began, attempts: 0 });
     }
 
-    // Fused estimate over every lane that survived pre-flight.
-    let live: Vec<usize> = lanes
-        .iter()
-        .enumerate()
-        .filter(|(_, lane)| lane.dropped.is_some())
-        .map(|(i, _)| i)
-        .collect();
-    if !live.is_empty() {
-        let fused = method.and_then(|method| {
-            let cohort_lanes: Vec<crate::exec::CohortLane<'_>> = live
-                .iter()
-                .map(|&i| crate::exec::CohortLane {
-                    dropped: lanes[i]
-                        .dropped
-                        .as_ref()
-                        // analysis: allow(no-panic) — `live` indexes exactly the lanes whose dropped is Some
-                        .expect("live lane has decoded input"),
-                    deadline: lanes[i].entry.as_ref().and_then(|e| e.deadline),
-                    trace: lanes[i].entry.as_ref().and_then(|e| e.trace),
-                })
-                .collect();
-            crate::exec::recover_cohort_guarded(&cohort_lanes, &method, engines, tel)
-        });
-        match fused {
-            Some(outcomes) => {
-                for (&i, outcome) in live.iter().zip(outcomes) {
-                    let lane = &mut lanes[i];
-                    let entry = lane
-                        .entry
-                        .take()
-                        // analysis: allow(no-panic) — live lanes were never delegated, so they still own their entry
-                        .expect("live lane owns its entry");
-                    let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-                    let disposition = match outcome {
-                        Ok(image) => match &entry.job {
-                            Job::Recover { output, .. } => {
-                                crate::exec::write_recover_output(output, &image, tel)
-                                    .map(|()| JobOutput::Recovered { output: output.clone() })
-                                    .map_err(JobFailure::Error)
-                            }
-                            // Defensive: unreachable, Recover-only routing.
-                            _ => Err(JobFailure::Rejected),
-                        },
-                        Err(crate::exec::CohortFailure::Deadline(phase)) => {
-                            stats.bump(&stats.deadline_missed);
-                            tel.warn(format!(
-                                "job {} evicted from cohort: deadline exceeded during {phase}",
-                                entry.id
-                            ));
-                            Err(JobFailure::DeadlineExceeded)
-                        }
-                        Err(crate::exec::CohortFailure::Error(err)) => {
-                            tel.error(format!(
-                                "job {} failed after 1 attempt(s): {}",
-                                entry.id, err.message
-                            ));
-                            Err(JobFailure::Error(err))
-                        }
-                    };
-                    let exec = lane.exec_start.elapsed();
-                    stats.record_stage(entry.job.stage(), exec);
-                    rt.stage[entry.job.stage().index()].record_duration(exec);
-                    rt.job_wall.record_duration(entry.submitted.elapsed());
-                    tel.record_span(
-                        stage_span_name(entry.job.stage()),
-                        lane.exec_start,
-                        Instant::now(),
-                    );
-                    lane.result = Some(JobResult {
-                        id: entry.id,
-                        job: entry.job,
-                        outcome: disposition,
-                        wall: entry.submitted.elapsed(),
-                        exec,
-                        attempts: 1,
-                    });
-                }
-            }
-            None => {
-                // No fused path for this engine (e.g. a test double replaced
-                // it): fall back to the sequential per-job path.
-                for &i in &live {
-                    let lane = &mut lanes[i];
-                    if let Some(entry) = lane.entry.take() {
-                        let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-                        lane.result = Some(run_one(entry, stats, config, rt, engines));
-                    }
-                }
+    while !pending.is_empty() {
+        let round = Instant::now();
+        let mut resolved: Vec<(Lane, Result<JobOutput, JobFailure>, Duration)> = Vec::new();
+        let mut live: Vec<(Lane, CoeffImage)> = Vec::new();
+        for mut lane in pending {
+            lane.attempts += 1;
+            let _trace = lane.entry.trace.map(dcdiff_telemetry::install_trace);
+            let decoded = recover_io(&lane.entry.job)
+                .and_then(|(input, _)| decode_recover_input(input, tel));
+            match decoded {
+                Ok(dropped) => live.push((lane, dropped)),
+                Err(err) => resolved.push((lane, Err(JobFailure::Error(err)), round.elapsed())),
             }
         }
-    }
+        let lanes: Vec<CohortLane<'_>> = live
+            .iter()
+            .map(|(lane, dropped)| CohortLane {
+                dropped,
+                deadline: lane.entry.deadline,
+                trace: lane.entry.trace,
+            })
+            .collect();
+        let estimates = recover_lanes(&lanes, method, engines, tel);
+        for ((lane, _), estimate) in live.into_iter().zip(estimates) {
+            let _trace = lane.entry.trace.map(dcdiff_telemetry::install_trace);
+            let outcome = estimate.and_then(|image| {
+                recover_io(&lane.entry.job)
+                    .and_then(|(_, output)| {
+                        write_recover_output(output, &image, tel)?;
+                        Ok(JobOutput::Recovered { output: output.to_string() })
+                    })
+                    .map_err(JobFailure::Error)
+            });
+            resolved.push((lane, outcome, round.elapsed()));
+        }
 
-    for lane in lanes {
-        if let Some(result) = lane.result {
+        let mut retry: Vec<Lane> = Vec::new();
+        for (lane, outcome, exec) in resolved {
+            let _trace = lane.entry.trace.map(dcdiff_telemetry::install_trace);
+            let id = lane.entry.id;
+            stats.record_stage(Stage::Recover, exec);
+            rt.stage[Stage::Recover.index()].record_duration(exec);
+            match &outcome {
+                Err(JobFailure::Error(err)) if retryable(err, lane.attempts, &lane.entry) => {
+                    stats.bump(&stats.retried);
+                    rt.retries.inc();
+                    tel.warn(format!(
+                        "job {id} attempt {} failed transiently ({}), retrying",
+                        lane.attempts, err.message
+                    ));
+                    retry.push(lane);
+                    continue;
+                }
+                Err(JobFailure::Error(err)) => tel.error(format!(
+                    "job {id} failed after {} attempt(s): {}",
+                    lane.attempts, err.message
+                )),
+                Err(JobFailure::DeadlineExceeded) => {
+                    stats.bump(&stats.deadline_missed);
+                    tel.warn(format!("job {id} evicted: deadline exceeded during recovery"));
+                }
+                _ => {}
+            }
+            rt.job_wall.record_duration(lane.entry.submitted.elapsed());
+            tel.record_span(names::SPAN_JOB_RECOVER, lane.began, Instant::now());
+            let result = JobResult {
+                id,
+                job: lane.entry.job,
+                outcome,
+                wall: lane.entry.submitted.elapsed(),
+                exec,
+                attempts: lane.attempts,
+            };
             finish(result, lane.notify, stats, results);
         }
+
+        // Lanes retrying together share their attempt count, so one backoff
+        // serves the round.
+        if let Some(attempts) = retry.first().map(|lane| lane.attempts) {
+            let slept = Instant::now();
+            std::thread::sleep(backoff(config, attempts));
+            let woke = Instant::now();
+            for lane in &retry {
+                let _trace = lane.entry.trace.map(dcdiff_telemetry::install_trace);
+                tel.record_span(names::SPAN_JOB_BACKOFF, slept, woke);
+            }
+        }
+        pending = retry;
     }
 }
 
@@ -776,7 +765,8 @@ fn stage_span_name(stage: Stage) -> &'static str {
     }
 }
 
-/// Execute one queue entry: deadline check, bounded retries, timing.
+/// Execute one non-Recover queue entry: deadline gate, bounded retries,
+/// timing.
 fn run_one(
     entry: Queued,
     stats: &RuntimeStats,
@@ -785,26 +775,12 @@ fn run_one(
     engines: &mut EngineCache,
 ) -> JobResult {
     let tel = &config.telemetry;
-    let Queued { id, job, submitted, deadline, max_retries, ingest, trace: _, notify: _ } = entry;
-    if let Some(deadline) = deadline {
-        if Instant::now() > deadline {
-            stats.bump(&stats.deadline_missed);
-            tel.warn(format!("job {id} missed its deadline before starting"));
-            return JobResult {
-                id,
-                job,
-                outcome: Err(JobFailure::DeadlineExceeded),
-                wall: submitted.elapsed(),
-                exec: Duration::ZERO,
-                attempts: 0,
-            };
-        }
+    if let Some(missed) = missed_start(&entry, stats, tel) {
+        return missed;
     }
-    let _job_span = tel.span(stage_span_name(job.stage()));
-    if let Some(stall) = ingest {
-        // Simulated sender-uplink wait (see `JobSpec::ingest`). It counts
-        // against the wall clock but not `exec`; like execution itself it is
-        // not preempted by the deadline once started.
+    let _job_span = tel.span(stage_span_name(entry.job.stage()));
+    if let Some(stall) = entry.ingest {
+        // Simulated sender-uplink wait, as in `run_cohort`.
         let _ingest = tel.span(names::SPAN_JOB_INGEST);
         std::thread::sleep(stall);
     }
@@ -812,52 +788,41 @@ fn run_one(
     loop {
         attempts += 1;
         let start = Instant::now();
-        let outcome = execute(&job, engines, tel);
+        let outcome = execute(&entry.job, engines, tel);
         let exec = start.elapsed();
-        stats.record_stage(job.stage(), exec);
-        rt.stage[job.stage().index()].record_duration(exec);
-        match outcome {
-            Ok(output) => {
-                rt.job_wall.record_duration(submitted.elapsed());
-                return JobResult {
-                    id,
-                    job,
-                    outcome: Ok(output),
-                    wall: submitted.elapsed(),
-                    exec,
-                    attempts,
-                };
+        let stage = entry.job.stage();
+        stats.record_stage(stage, exec);
+        rt.stage[stage.index()].record_duration(exec);
+        let outcome = match outcome {
+            Err(err) if retryable(&err, attempts, &entry) => {
+                stats.bump(&stats.retried);
+                rt.retries.inc();
+                tel.warn(format!(
+                    "job {} attempt {attempts} failed transiently ({}), retrying",
+                    entry.id, err.message
+                ));
+                let _backoff = tel.span(names::SPAN_JOB_BACKOFF);
+                std::thread::sleep(backoff(config, attempts));
+                continue;
             }
             Err(err) => {
-                let budget_left = attempts <= max_retries;
-                let retryable = err.class == ErrorClass::Transient && budget_left;
-                let expired = deadline.is_some_and(|d| Instant::now() > d);
-                if retryable && !expired {
-                    stats.bump(&stats.retried);
-                    rt.retries.inc();
-                    tel.warn(format!(
-                        "job {id} attempt {attempts} failed transiently ({}), retrying",
-                        err.message
-                    ));
-                    // Exponential backoff: base * 2^(attempt-1), capped at
-                    // 2^10 to keep the worst sleep bounded.
-                    let exp = (attempts - 1).min(10);
-                    let _backoff = tel.span(names::SPAN_JOB_BACKOFF);
-                    std::thread::sleep(config.backoff_base * 2u32.pow(exp));
-                    continue;
-                }
-                tel.error(format!("job {id} failed after {attempts} attempt(s): {}", err.message));
-                rt.job_wall.record_duration(submitted.elapsed());
-                return JobResult {
-                    id,
-                    job,
-                    outcome: Err(JobFailure::Error(err)),
-                    wall: submitted.elapsed(),
-                    exec,
-                    attempts,
-                };
+                tel.error(format!(
+                    "job {} failed after {attempts} attempt(s): {}",
+                    entry.id, err.message
+                ));
+                Err(JobFailure::Error(err))
             }
-        }
+            Ok(output) => Ok(output),
+        };
+        rt.job_wall.record_duration(entry.submitted.elapsed());
+        return JobResult {
+            id: entry.id,
+            job: entry.job,
+            outcome,
+            wall: entry.submitted.elapsed(),
+            exec,
+            attempts,
+        };
     }
 }
 

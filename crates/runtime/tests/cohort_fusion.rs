@@ -1,13 +1,17 @@
-//! End-to-end properties of the cross-request DDIM cohort scheduler.
+//! End-to-end properties of the cohort scheduler that runs every Recover
+//! job.
 //!
 //! * **Determinism** — a runtime fusing diffusion Recover jobs into shared
 //!   U-Net forwards (`diffusion_batch_width` 2 or 8) writes byte-identical
-//!   outputs to a width-1 (sequential) runtime: per-lane content seeding
-//!   makes every result independent of cohort composition.
+//!   outputs to a width-1 runtime: per-lane content seeding makes every
+//!   result independent of cohort composition.
 //! * **Observability** — fused execution records `diffusion.batch.width`
 //!   observations wider than one lane.
-//! * **Eviction** — a lane whose deadline is already blown fails with
-//!   `DeadlineExceeded` while its batch-mates complete normally.
+//! * **Eviction** — at width 1 and 8 alike, a lane whose deadline is blown
+//!   fails with `DeadlineExceeded` while its batch-mates complete normally,
+//!   including a lone job whose deadline passes during its ingest stall.
+//! * **Accounting** — `JobResult::exec` excludes ingest stalls, the lane's
+//!   own and its batch-mates', at every width.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,51 +129,113 @@ fn fused_cohorts_write_bit_identical_outputs_across_widths() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn single_worker(width: usize) -> Runtime {
+    Runtime::start(RuntimeConfig {
+        workers: 1,
+        queue_cap: 16,
+        batch_max: 8,
+        diffusion_batch_width: width,
+        ..RuntimeConfig::default()
+    })
+}
+
 #[test]
 fn expired_lane_is_evicted_while_batch_mates_complete() {
     let n = 3;
     let dir = scratch_dir("evict");
     stage_inputs(&dir, n);
 
-    // Sequential reference for the surviving lanes.
+    // Width-1 references for the surviving lanes.
     let mut reference = EngineCache::new();
     for i in 0..2 {
         let job = recover_job(&dir, i, "ref_");
         assert!(execute(&job, &mut reference, &Telemetry::new()).is_ok());
     }
 
-    let runtime = Runtime::start(RuntimeConfig {
-        workers: 1,
-        queue_cap: 16,
-        batch_max: 8,
-        diffusion_batch_width: 8,
-        ..RuntimeConfig::default()
-    });
-    let leader = JobSpec::new(recover_job(&dir, 0, "run_"))
-        .with_ingest(Duration::from_millis(150));
-    runtime.submit_blocking(leader).expect("submit leader");
-    runtime
-        .submit_blocking(recover_job(&dir, 1, "run_"))
-        .expect("submit survivor");
-    // The doomed lane's deadline expires during the leader's ingest stall,
-    // so it is evicted at the cohort's first cooperative check.
-    let doomed = JobSpec::new(recover_job(&dir, 2, "run_"))
-        .with_deadline(Duration::from_millis(1));
-    let doomed_id = runtime.submit_blocking(doomed).expect("submit doomed");
-    let report = runtime.shutdown(ShutdownMode::Drain);
+    for width in [1, 8] {
+        let prefix = format!("run{width}_");
+        let runtime = single_worker(width);
+        let leader = JobSpec::new(recover_job(&dir, 0, &prefix))
+            .with_ingest(Duration::from_millis(150));
+        runtime.submit_blocking(leader).expect("submit leader");
+        runtime
+            .submit_blocking(recover_job(&dir, 1, &prefix))
+            .expect("submit survivor");
+        // The doomed lane's deadline expires during the leader's ingest
+        // stall, so it never produces an image.
+        let doomed = JobSpec::new(recover_job(&dir, 2, &prefix))
+            .with_deadline(Duration::from_millis(1));
+        let doomed_id = runtime.submit_blocking(doomed).expect("submit doomed");
+        let report = runtime.shutdown(ShutdownMode::Drain);
 
-    assert_eq!(report.results.len(), n);
-    let doomed_result = report.result(doomed_id).expect("doomed result recorded");
-    assert_eq!(
-        doomed_result.outcome,
-        Err(JobFailure::DeadlineExceeded),
-        "expired lane reports its deadline, not an engine error"
-    );
-    assert_eq!(report.stats.deadline_missed, 1);
-    for i in 0..2 {
-        let survivor = std::fs::read(path(&dir, &format!("run_{i}.ppm"))).expect("survivor output");
-        let expected = std::fs::read(path(&dir, &format!("ref_{i}.ppm"))).expect("reference");
-        assert_eq!(survivor, expected, "survivor {i} must match its solo recovery");
+        assert_eq!(report.results.len(), n);
+        let doomed_result = report.result(doomed_id).expect("doomed result recorded");
+        assert_eq!(
+            doomed_result.outcome,
+            Err(JobFailure::DeadlineExceeded),
+            "width {width}: expired lane reports its deadline, not an engine error"
+        );
+        assert_eq!(report.stats.deadline_missed, 1);
+        for i in 0..2 {
+            let survivor = std::fs::read(path(&dir, &format!("{prefix}{i}.ppm")))
+                .expect("survivor output");
+            let expected = std::fs::read(path(&dir, &format!("ref_{i}.ppm"))).expect("reference");
+            assert_eq!(survivor, expected, "width {width}: survivor {i} must match its reference");
+        }
+
+        // A lone job starts well inside its deadline, which then passes
+        // during the ingest stall, before any recovery step: it must be
+        // evicted, not answered late.
+        let runtime = single_worker(width);
+        let lone = JobSpec::new(recover_job(&dir, 0, &format!("lone{width}_")))
+            .with_ingest(Duration::from_millis(150))
+            .with_deadline(Duration::from_millis(50));
+        let lone_id = runtime.submit_blocking(lone).expect("submit lone job");
+        let report = runtime.shutdown(ShutdownMode::Drain);
+        let lone_result = report.result(lone_id).expect("lone result recorded");
+        assert_eq!(
+            lone_result.outcome,
+            Err(JobFailure::DeadlineExceeded),
+            "width {width}: lone job"
+        );
+        assert_eq!(lone_result.attempts, 1, "width {width}: the lone job started");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn exec_excludes_ingest_stalls_at_every_width() {
+    let stall = Duration::from_millis(100);
+    let dir = scratch_dir("exec");
+    stage_inputs(&dir, 2);
+    for width in [1, 8] {
+        let runtime = single_worker(width);
+        // A non-Recover job holds the worker so both Recover jobs queue up
+        // behind it and are assembled into one micro-batch.
+        let blocker = JobSpec::new(Job::Metrics {
+            reference: path(&dir, "in0.ppm"),
+            test: path(&dir, "in0.ppm"),
+        })
+        .with_ingest(Duration::from_millis(150));
+        runtime.submit_blocking(blocker).expect("submit blocker");
+        let ids: Vec<_> = (0..2)
+            .map(|i| {
+                let spec = JobSpec::new(recover_job(&dir, i, &format!("exec{width}_")))
+                    .with_ingest(stall);
+                runtime.submit_blocking(spec).expect("submit recover")
+            })
+            .collect();
+        let report = runtime.shutdown(ShutdownMode::Drain);
+        for id in ids {
+            let result = report.result(id).expect("result recorded");
+            assert!(result.is_ok(), "width {width}: {:?}", result.outcome);
+            assert!(
+                result.exec < stall,
+                "width {width}: exec {:?} must exclude the {stall:?} ingest stalls",
+                result.exec
+            );
+            assert!(result.wall >= stall, "width {width}: the stall still counts in wall");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
