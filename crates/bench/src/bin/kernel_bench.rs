@@ -23,10 +23,7 @@ use dcdiff_jpeg::dct::idct;
 use dcdiff_jpeg::huffman::HuffmanTable;
 use dcdiff_jpeg::simd::{self, Tier};
 use dcdiff_jpeg::{JpegDecoder, JpegEncoder, BLOCK_AREA};
-use dcdiff_tensor::kernels::{
-    gemm_naive, hgemm_info, hgemm_with_threads, set_threads, sgemm_with_threads, KernelConfig,
-    Trans,
-};
+use dcdiff_tensor::kernels::{gemm_naive, set_threads, sgemm_with_threads, KernelConfig, Trans};
 use dcdiff_tensor::Tensor;
 
 /// One GEMM shape from the recover path: `C[m,n] += A[m,k] * B[k,n]`.
@@ -286,43 +283,6 @@ fn bench_decode(budget: Duration) -> Vec<DecodeResult> {
     results
 }
 
-/// Quantised-inference GEMM: f16-storage/f32-accumulate `hgemm` against
-/// the f32 `sgemm` on the same operands, both at one thread.
-struct QuantResult {
-    name: &'static str,
-    m: usize,
-    k: usize,
-    n: usize,
-    f32_gflops: f64,
-    f16_gflops: f64,
-    f16_speedup: f64,
-}
-
-fn bench_quantised(shape: &GemmShape, budget: Duration) -> QuantResult {
-    let GemmShape { name, m, k, n } = *shape;
-    let a = pattern(m * k, 1.0);
-    let b = pattern(k * n, 2.0);
-    let mut c = vec![0.0f32; m * n];
-    let flops = 2 * m * k * n;
-    let f32_t = best_time(budget, 3, || {
-        c.iter_mut().for_each(|v| *v = 0.0);
-        sgemm_with_threads(1, Trans::N, Trans::N, m, k, n, &a, &b, &mut c);
-    });
-    let f16_t = best_time(budget, 3, || {
-        c.iter_mut().for_each(|v| *v = 0.0);
-        hgemm_with_threads(1, Trans::N, Trans::N, m, k, n, &a, &b, &mut c);
-    });
-    QuantResult {
-        name,
-        m,
-        k,
-        n,
-        f32_gflops: gflops(flops, f32_t),
-        f16_gflops: gflops(flops, f16_t),
-        f16_speedup: f32_t.as_secs_f64() / f16_t.as_secs_f64(),
-    }
-}
-
 fn main() {
     let config = KernelConfig::current();
     let cores = config.cpu_cores;
@@ -378,22 +338,6 @@ fn main() {
     }
     set_threads(max_threads);
 
-    // Quantised inference: the three shapes that dominate recover-path
-    // forwards (stage-1 im2col, U-Net im2col, square reference point).
-    let quant_shapes = ["stage1_conv3x3_c32_64x64", "unet_l0_conv3x3_c16_12x12", "square_256"];
-    let quantised: Vec<QuantResult> = GEMM_SHAPES
-        .iter()
-        .filter(|s| quant_shapes.contains(&s.name))
-        .map(|s| bench_quantised(s, budget))
-        .collect();
-    let (f16_isa, _, _) = hgemm_info();
-    for q in &quantised {
-        println!(
-            "  f16  {:<28} f32 {:6.2}  f16 {:6.2} GFLOP/s  (f16/f32 {:.2}x, {f16_isa})",
-            q.name, q.f32_gflops, q.f16_gflops, q.f16_speedup
-        );
-    }
-
     let decode = bench_decode(budget);
     let decode_tier = simd::active();
     for d in &decode {
@@ -434,9 +378,8 @@ fn main() {
         "  \"note\": \"GFLOP/s from best-of repeated runs; naive = seed scalar ikj GEMM with \
          zero-skip branch, blocked = packed register-tiled kernel at 1 thread, threaded = same \
          kernel sharded across the DCDIFF_THREADS pool. Shapes are the rows-layout im2col and \
-         attention products the recover path issues. quantised_gemm rows time the f16-storage/\
-         f32-accumulate hgemm against f32 sgemm at one thread; decode rows time the forced-scalar \
-         reference pipeline against the runtime-dispatched tier as MB/s over input bytes \
+         attention products the recover path issues; decode rows time the forced-scalar reference \
+         pipeline against the runtime-dispatched tier as MB/s over input bytes \
          (see PERFORMANCE.md).\","
     );
     json.push_str("  \"gemm\": [\n");
@@ -475,24 +418,6 @@ fn main() {
             c.single_ms,
             c.threaded_ms,
             if i + 1 < convs.len() { "," } else { "" },
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"f16_isa\": \"{f16_isa}\",");
-    json.push_str("  \"quantised_gemm\": [\n");
-    for (i, q) in quantised.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"f32_gflops\": {:.3}, \"f16_gflops\": {:.3}, \"f16_speedup\": {:.3}}}{}",
-            q.name,
-            q.m,
-            q.k,
-            q.n,
-            q.f32_gflops,
-            q.f16_gflops,
-            q.f16_speedup,
-            if i + 1 < quantised.len() { "," } else { "" },
         );
     }
     json.push_str("  ],\n");

@@ -16,8 +16,9 @@
 //!   Recover job running as a lane of a cohort through the one degradation
 //!   ladder [`recover_lanes`],
 //!   deadline enforcement, and bounded retry with exponential backoff;
-//! * [`RuntimeStats`] — an atomic counter block whose [`RuntimeStats::snapshot`]
-//!   the CLI prints after `dcdiff batch`;
+//! * [`StatsSnapshot`] — the job counts a [`RuntimeReport`] carries, derived
+//!   at shutdown from the runtime's telemetry registry and printed by
+//!   `dcdiff batch`;
 //! * [`manifest`] — the one-job-per-line manifest format shared by
 //!   `dcdiff batch` and the runtime benchmark.
 //!
@@ -27,9 +28,10 @@
 //! [`RuntimeConfig`] carries a `Telemetry` handle that the runtime threads
 //! through every stage: queue wait, batch assembly, per-job and per-phase
 //! execution spans (JSONL tracing via `--trace`), plus latency histograms
-//! (`runtime.queue_wait_us`, `runtime.job_wall_us`, `stage.*_us`), a
-//! `runtime.queue_depth` gauge, retry counters and per-worker utilisation
-//! gauges — all exported by `dcdiff batch --metrics` and aggregated offline
+//! (`runtime.queue_wait_us`, `runtime.job_wall_us`, `stage.*_us`),
+//! `runtime.queue_depth` and `runtime.queue_high_water` gauges, the
+//! `runtime.{submitted,completed,failed,rejected,deadline_missed,retries}`
+//! counters and per-worker utilisation gauges — all exported by `dcdiff batch --metrics` and aggregated offline
 //! by `dcdiff report`.
 //!
 //! ## Example
@@ -67,4 +69,4 @@ pub use job::{
 pub use manifest::{parse_line, parse_manifest};
 pub use queue::{BoundedQueue, PushError};
 pub use runtime::{ResultHandle, Runtime, RuntimeConfig, RuntimeReport, ShutdownMode, SubmitError};
-pub use stats::{RuntimeStats, StatsSnapshot};
+pub use stats::StatsSnapshot;

@@ -8,8 +8,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dcdiff_jpeg::CoeffImage;
-use dcdiff_telemetry::{Counter, Gauge, Histogram, Telemetry};
-use dcdiff_telemetry::names;
+use dcdiff_telemetry::{names, Telemetry};
 
 use crate::exec::{
     decode_recover_input, execute, recover_lanes, write_recover_output, CohortLane, EngineCache,
@@ -20,7 +19,7 @@ use crate::job::{
     Stage,
 };
 use crate::queue::{BoundedQueue, PushError};
-use crate::stats::{RuntimeStats, StatsSnapshot};
+use crate::stats::{RtMetrics, StatsSnapshot};
 
 /// Tunables for a [`Runtime`].
 #[derive(Debug, Clone)]
@@ -81,38 +80,6 @@ impl RuntimeConfig {
     /// Config with `workers` threads and defaults elsewhere.
     pub fn with_workers(workers: usize) -> Self {
         RuntimeConfig { workers: workers.max(1), ..RuntimeConfig::default() }
-    }
-}
-
-/// Pre-resolved metric handles for the runtime's hot paths. Registry lookups
-/// take a lock; resolving once at startup keeps submit/pop/execute paths on
-/// lock-free atomics only.
-#[derive(Clone)]
-struct RtMetrics {
-    queue_depth: Gauge,
-    queue_wait: Histogram,
-    batch_size: Histogram,
-    job_wall: Histogram,
-    retries: Counter,
-    /// Per-stage execute latency, indexed by [`Stage::index`].
-    stage: [Histogram; 4],
-}
-
-impl RtMetrics {
-    fn new(tel: &Telemetry) -> Self {
-        RtMetrics {
-            queue_depth: tel.gauge(names::GAUGE_QUEUE_DEPTH),
-            queue_wait: tel.histogram(names::HIST_QUEUE_WAIT_US),
-            batch_size: tel.histogram(names::HIST_BATCH_SIZE),
-            job_wall: tel.histogram(names::HIST_JOB_WALL_US),
-            retries: tel.counter(names::CTR_RETRIES),
-            stage: [
-                tel.histogram(names::HIST_STAGE_ENCODE_US),
-                tel.histogram(names::HIST_STAGE_TRANSCODE_US),
-                tel.histogram(names::HIST_STAGE_RECOVER_US),
-                tel.histogram(names::HIST_STAGE_METRICS_US),
-            ],
-        }
     }
 }
 
@@ -231,7 +198,7 @@ impl ResultHandle {
 pub struct RuntimeReport {
     /// Per-job results, in completion order.
     pub results: Vec<JobResult>,
-    /// Counter snapshot at shutdown.
+    /// What the runtime's registry counted between start and shutdown.
     pub stats: StatsSnapshot,
 }
 
@@ -258,49 +225,49 @@ impl RuntimeReport {
 /// ```
 pub struct Runtime {
     queue: Arc<BoundedQueue<Queued>>,
-    stats: Arc<RuntimeStats>,
     results: Arc<Mutex<Vec<JobResult>>>,
     workers: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
     config: RuntimeConfig,
     rt: RtMetrics,
+    /// Registry totals when this runtime started; the report counts from
+    /// here, so runtimes sharing one `Telemetry` in sequence each report
+    /// only their own jobs.
+    start: StatsSnapshot,
 }
 
 impl Runtime {
     /// Start `config.workers` worker threads.
     pub fn start(config: RuntimeConfig) -> Self {
         let queue = Arc::new(BoundedQueue::new(config.queue_cap));
-        let stats = Arc::new(RuntimeStats::new());
         let results = Arc::new(Mutex::new(Vec::new()));
         let rt = RtMetrics::new(&config.telemetry);
+        // A high-water mark cannot be differenced like the counters, so each
+        // runtime restarts it.
+        rt.queue_high_water.set(0);
+        let start = rt.totals();
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let stats = Arc::clone(&stats);
                 let results = Arc::clone(&results);
                 let config = config.clone();
                 let rt = rt.clone();
                 std::thread::Builder::new()
                     .name(format!("dcdiff-worker-{i}"))
-                    .spawn(move || worker_loop(i, &queue, &stats, &results, &config, &rt))
+                    .spawn(move || worker_loop(i, &queue, &results, &config, &rt))
                     // analysis: allow(no-panic) — one-time startup: failing to create worker threads is unrecoverable resource exhaustion, not a job-path error
                     .expect("spawn worker thread")
             })
             .collect();
         Runtime {
             queue,
-            stats,
             results,
             workers,
             next_id: AtomicU64::new(1),
             config,
             rt,
+            start,
         }
-    }
-
-    /// Shared counter block (live; see [`RuntimeStats::snapshot`]).
-    pub fn stats(&self) -> &RuntimeStats {
-        &self.stats
     }
 
     /// The configuration this runtime started with.
@@ -328,14 +295,14 @@ impl Runtime {
         };
         match push(&self.queue, entry) {
             Ok(()) => {
-                self.stats.bump(&self.stats.submitted);
-                let depth = self.queue.len() as u64;
-                self.stats.observe_queue_depth(depth);
-                self.rt.queue_depth.set(depth as i64);
+                self.rt.submitted.inc();
+                let depth = self.queue.len() as i64;
+                self.rt.queue_high_water.fetch_max(depth);
+                self.rt.queue_depth.set(depth);
                 Ok(id)
             }
             Err(PushError::Full) => {
-                self.stats.bump(&self.stats.rejected);
+                self.rt.rejected.inc();
                 self.config.telemetry.warn(format!("job {id} rejected: queue full"));
                 Err(SubmitError::QueueFull)
             }
@@ -419,7 +386,7 @@ impl Runtime {
                 let shed = self.queue.close_and_take();
                 let now = Instant::now();
                 for entry in shed {
-                    self.stats.bump(&self.stats.rejected);
+                    self.rt.rejected.inc();
                     let result = JobResult {
                         id: entry.id,
                         job: entry.job,
@@ -447,7 +414,7 @@ impl Runtime {
             }
         }
         let results = std::mem::take(&mut *lock_results(&self.results));
-        RuntimeReport { results, stats: self.stats.snapshot() }
+        RuntimeReport { results, stats: self.rt.totals().since(&self.start) }
     }
 }
 
@@ -461,7 +428,6 @@ fn lock_results<'a>(
 fn worker_loop(
     worker: usize,
     queue: &BoundedQueue<Queued>,
-    stats: &RuntimeStats,
     results: &Mutex<Vec<JobResult>>,
     config: &RuntimeConfig,
     rt: &RtMetrics,
@@ -474,8 +440,8 @@ fn worker_loop(
         let popped = Instant::now();
         // Depth as this worker saw it: the remaining queue plus the entry
         // just taken, so a lone job still registers depth 1.
-        let depth = queue.len() as u64 + 1;
-        stats.observe_queue_depth(depth);
+        let depth = queue.len() as i64 + 1;
+        rt.queue_high_water.fetch_max(depth);
         rt.queue_depth.set(queue.len() as i64);
         let mut batch = vec![first];
         // Micro-batch: pull queued Recover jobs that share the leader's
@@ -506,12 +472,6 @@ fn worker_loop(
             tel.record_span(names::SPAN_QUEUE_WAIT, entry.submitted, popped);
         }
         rt.batch_size.record(batch.len() as u64);
-        stats.bump(&stats.batches);
-        if batch.len() > 1 {
-            stats
-                .batched_jobs
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        }
         let exec_span = tel.span(names::SPAN_BATCH_EXEC);
         match batch[0].job.recover_method().copied() {
             // Every Recover job runs as a lane of a cohort. Diffusion lanes
@@ -527,7 +487,7 @@ fn worker_loop(
                 while !batch.is_empty() {
                     let take = batch.len().min(width);
                     let cohort: Vec<Queued> = batch.drain(..take).collect();
-                    run_cohort(&method, cohort, stats, results, config, rt, &mut engines);
+                    run_cohort(&method, cohort, results, config, rt, &mut engines);
                 }
             }
             None => {
@@ -536,8 +496,8 @@ fn worker_loop(
                     // Re-install the submitter's trace for the execution
                     // spans emitted on this thread.
                     let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-                    let result = run_one(entry, stats, config, rt, &mut engines);
-                    finish(result, notify, stats, results);
+                    let result = run_one(entry, config, rt, &mut engines);
+                    finish(result, notify, rt, results);
                 }
             }
         }
@@ -555,13 +515,13 @@ fn worker_loop(
 fn finish(
     result: JobResult,
     notify: Option<ResultHandle>,
-    stats: &RuntimeStats,
+    rt: &RtMetrics,
     results: &Mutex<Vec<JobResult>>,
 ) {
     if result.is_ok() {
-        stats.bump(&stats.completed);
+        rt.completed.inc();
     } else {
-        stats.bump(&stats.failed);
+        rt.failed.inc();
     }
     match notify {
         Some(handle) => handle.fulfill(result),
@@ -571,11 +531,11 @@ fn finish(
 
 /// The gate every job passes before it starts: a job whose deadline has
 /// already passed fails without executing.
-fn missed_start(entry: &Queued, stats: &RuntimeStats, tel: &Telemetry) -> Option<JobResult> {
+fn missed_start(entry: &Queued, rt: &RtMetrics, tel: &Telemetry) -> Option<JobResult> {
     if entry.deadline.is_none_or(|deadline| Instant::now() <= deadline) {
         return None;
     }
-    stats.bump(&stats.deadline_missed);
+    rt.deadline_missed.inc();
     tel.warn(format!("job {} missed its deadline before starting", entry.id));
     Some(JobResult {
         id: entry.id,
@@ -638,7 +598,6 @@ struct Lane {
 fn run_cohort(
     method: &RecoverMethod,
     cohort: Vec<Queued>,
-    stats: &RuntimeStats,
     results: &Mutex<Vec<JobResult>>,
     config: &RuntimeConfig,
     rt: &RtMetrics,
@@ -649,8 +608,8 @@ fn run_cohort(
     for mut entry in cohort {
         let notify = entry.notify.take();
         let _trace = entry.trace.map(dcdiff_telemetry::install_trace);
-        if let Some(missed) = missed_start(&entry, stats, tel) {
-            finish(missed, notify, stats, results);
+        if let Some(missed) = missed_start(&entry, rt, tel) {
+            finish(missed, notify, rt, results);
             continue;
         }
         let began = Instant::now();
@@ -704,11 +663,9 @@ fn run_cohort(
         for (lane, outcome, exec) in resolved {
             let _trace = lane.entry.trace.map(dcdiff_telemetry::install_trace);
             let id = lane.entry.id;
-            stats.record_stage(Stage::Recover, exec);
             rt.stage[Stage::Recover.index()].record_duration(exec);
             match &outcome {
                 Err(JobFailure::Error(err)) if retryable(err, lane.attempts, &lane.entry) => {
-                    stats.bump(&stats.retried);
                     rt.retries.inc();
                     tel.warn(format!(
                         "job {id} attempt {} failed transiently ({}), retrying",
@@ -722,7 +679,7 @@ fn run_cohort(
                     lane.attempts, err.message
                 )),
                 Err(JobFailure::DeadlineExceeded) => {
-                    stats.bump(&stats.deadline_missed);
+                    rt.deadline_missed.inc();
                     tel.warn(format!("job {id} evicted: deadline exceeded during recovery"));
                 }
                 _ => {}
@@ -737,7 +694,7 @@ fn run_cohort(
                 exec,
                 attempts: lane.attempts,
             };
-            finish(result, lane.notify, stats, results);
+            finish(result, lane.notify, rt, results);
         }
 
         // Lanes retrying together share their attempt count, so one backoff
@@ -769,13 +726,12 @@ fn stage_span_name(stage: Stage) -> &'static str {
 /// timing.
 fn run_one(
     entry: Queued,
-    stats: &RuntimeStats,
     config: &RuntimeConfig,
     rt: &RtMetrics,
     engines: &mut EngineCache,
 ) -> JobResult {
     let tel = &config.telemetry;
-    if let Some(missed) = missed_start(&entry, stats, tel) {
+    if let Some(missed) = missed_start(&entry, rt, tel) {
         return missed;
     }
     let _job_span = tel.span(stage_span_name(entry.job.stage()));
@@ -791,11 +747,9 @@ fn run_one(
         let outcome = execute(&entry.job, engines, tel);
         let exec = start.elapsed();
         let stage = entry.job.stage();
-        stats.record_stage(stage, exec);
         rt.stage[stage.index()].record_duration(exec);
         let outcome = match outcome {
             Err(err) if retryable(&err, attempts, &entry) => {
-                stats.bump(&stats.retried);
                 rt.retries.inc();
                 tel.warn(format!(
                     "job {} attempt {attempts} failed transiently ({}), retrying",
@@ -838,6 +792,106 @@ mod tests {
             reference: format!("/nonexistent/{tag}-ref.ppm"),
             test: format!("/nonexistent/{tag}-test.ppm"),
         }
+    }
+
+    /// A Metrics job that succeeds: it compares one real image, written
+    /// under the temp dir, with itself.
+    fn passing_metrics_job(tag: &str) -> Job {
+        let path = std::env::temp_dir()
+            .join(format!("dcdiff-runtime-{tag}-{}.ppm", std::process::id()));
+        let image = dcdiff_image::Image::filled(16, 16, dcdiff_image::ColorSpace::Rgb, 90.0);
+        dcdiff_image::write_ppm(&path, &image).expect("write test image");
+        let path = path.to_string_lossy().into_owned();
+        Job::Metrics { reference: path.clone(), test: path }
+    }
+
+    /// Run one single-worker runtime through every event its report counts:
+    /// a completed job, a two-job batch, a deadline miss, a fail-fast
+    /// rejection and an abort-shed job.
+    fn run_counted_events(tel: &Telemetry, tag: &str) -> RuntimeReport {
+        let runtime = Runtime::start(RuntimeConfig {
+            workers: 1,
+            queue_cap: 5,
+            batch_max: 8,
+            telemetry: tel.clone(),
+            ..RuntimeConfig::default()
+        });
+        let recover = |i: usize| Job::Recover {
+            input: format!("/nonexistent/{tag}-{i}.jpg"),
+            output: format!("/nonexistent/{tag}-{i}.ppm"),
+            method: RecoverMethod::Tip2006,
+        };
+        // The leader's ingest stall holds the worker while five jobs fill
+        // the queue behind it: two Recover jobs that batch together, an
+        // expired deadline, a second stall and the job the abort sheds.
+        let stall = |job: Job, ms: u64| JobSpec::new(job).with_ingest(Duration::from_millis(ms));
+        runtime.submit_blocking(stall(passing_metrics_job(tag), 300)).unwrap();
+        runtime.submit_blocking(recover(0)).unwrap();
+        runtime.submit_blocking(recover(1)).unwrap();
+        runtime
+            .submit_blocking(JobSpec::new(metrics_job(tag)).with_deadline(Duration::ZERO))
+            .unwrap();
+        runtime.submit_blocking(stall(metrics_job(tag), 400)).unwrap();
+        runtime.submit_blocking(metrics_job(tag)).unwrap();
+        // The queue is at capacity until the leader's stall ends.
+        assert_eq!(runtime.submit(metrics_job(tag)), Err(SubmitError::QueueFull));
+        // Abort while the worker sits in the second stall, with one job
+        // still queued behind it.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while runtime.queue_depth() != 1 {
+            assert!(Instant::now() < deadline, "worker never reached the second stall");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        runtime.shutdown(ShutdownMode::Abort)
+    }
+
+    /// The counts every [`run_counted_events`] report must carry.
+    fn assert_counted_events(stats: &StatsSnapshot) {
+        assert_eq!(stats.submitted, 6);
+        assert_eq!(stats.completed, 1);
+        // Both Recover jobs, the deadline miss and the second stall's job.
+        assert_eq!(stats.failed, 4);
+        assert_eq!(stats.rejected, 2, "one fail-fast rejection, one abort-shed job");
+        assert_eq!(stats.deadline_missed, 1);
+        assert_eq!(stats.retried, 0);
+        assert_eq!(stats.batches, 4);
+        assert_eq!(stats.batched_jobs, 2);
+        assert_eq!(stats.queue_high_water, 5);
+        assert_eq!(stats.stage_jobs[Stage::Metrics.index()], 2);
+        assert_eq!(stats.stage_jobs[Stage::Recover.index()], 2);
+    }
+
+    #[test]
+    fn report_stats_equal_the_registry_counters() {
+        let tel = Telemetry::new();
+        let report = run_counted_events(&tel, "reg");
+        let stats = report.stats;
+        assert_counted_events(&stats);
+        let counter = |name: &str| tel.counter(name).get();
+        assert_eq!(stats.submitted, counter(names::CTR_SUBMITTED));
+        assert_eq!(stats.completed, counter(names::CTR_COMPLETED));
+        assert_eq!(stats.failed, counter(names::CTR_FAILED));
+        assert_eq!(stats.rejected, counter(names::CTR_REJECTED));
+        assert_eq!(stats.deadline_missed, counter(names::CTR_DEADLINE_MISSED));
+        assert_eq!(stats.retried, counter(names::CTR_RETRIES));
+        assert_eq!(stats.queue_high_water as i64, tel.gauge(names::GAUGE_QUEUE_HIGH_WATER).get());
+        assert_eq!(stats.batches, tel.histogram(names::HIST_BATCH_SIZE).count());
+        let recover = tel.histogram(names::HIST_STAGE_RECOVER_US);
+        assert_eq!(stats.stage_jobs[Stage::Recover.index()], recover.count());
+        assert_eq!(stats.stage_ns[Stage::Recover.index()], recover.sum() * 1000);
+    }
+
+    #[test]
+    fn runtimes_sharing_telemetry_each_report_only_their_own_jobs() {
+        let tel = Telemetry::new();
+        let first = run_counted_events(&tel, "seq0").stats;
+        let second = run_counted_events(&tel, "seq1").stats;
+        assert_counted_events(&first);
+        assert_counted_events(&second);
+        // The registry keeps counting across both.
+        assert_eq!(tel.counter(names::CTR_SUBMITTED).get(), first.submitted + second.submitted);
+        assert_eq!(tel.counter(names::CTR_REJECTED).get(), first.rejected + second.rejected);
+        assert_eq!(tel.histogram(names::HIST_BATCH_SIZE).count(), first.batches + second.batches);
     }
 
     #[test]

@@ -540,3 +540,38 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     assert_eq!(client.get("/healthz").expect("healthz").status, 200);
     server.drain();
 }
+
+#[test]
+fn live_runtime_counters_match_the_drain_report() {
+    let (server, client) = start("runtimectr");
+    let jpeg = dropped_jpeg(16, 16);
+    for _ in 0..3 {
+        let resp = client.recover(&jpeg, None, false).expect("roundtrip");
+        assert_eq!(resp.status, 200);
+    }
+    // A body the runtime cannot decode: admitted, then failed.
+    let resp = client.recover(b"\xff\xd8not a jpeg", None, false).expect("bad stream");
+    assert_ne!(resp.status, 200);
+
+    // The job counts are on /metrics while the server runs, not only in
+    // the drain report.
+    let resp = client
+        .get_with("/metrics", &[("accept", "text/plain")])
+        .expect("prometheus metrics");
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
+    let samples = dcdiff_telemetry::prometheus::parse(&text).expect("exposition parses");
+    let live = |name: &str| {
+        samples
+            .iter()
+            .find(|s| s.name == name && s.labels.is_empty())
+            .map(|s| s.value as u64)
+            .unwrap_or_else(|| panic!("{name} missing from /metrics: {text}"))
+    };
+    let (submitted, completed) = (live("runtime_submitted"), live("runtime_completed"));
+
+    let stats = server.drain().stats.expect("runtime stats");
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.failed, 1);
+    assert_eq!(submitted, stats.submitted);
+    assert_eq!(completed, stats.completed);
+}

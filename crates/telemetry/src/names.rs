@@ -146,6 +146,17 @@ pub const HIST_DIFFUSION_BATCH_COHORT_LANES: &str = "diffusion.batch.cohort_lane
 
 // ------------------------------------------------------------- counters --
 
+/// Jobs accepted into the runtime queue.
+pub const CTR_SUBMITTED: &str = "runtime.submitted";
+/// Jobs that finished successfully.
+pub const CTR_COMPLETED: &str = "runtime.completed";
+/// Jobs that terminally failed (error or deadline).
+pub const CTR_FAILED: &str = "runtime.failed";
+/// Jobs rejected: fail-fast submits against a full queue plus jobs shed by
+/// an abort shutdown.
+pub const CTR_REJECTED: &str = "runtime.rejected";
+/// Jobs that missed their deadline, before starting or mid-flight.
+pub const CTR_DEADLINE_MISSED: &str = "runtime.deadline_missed";
 /// Jobs re-enqueued after a transient failure.
 pub const CTR_RETRIES: &str = "runtime.retries";
 /// Recoveries where the primary (diffusion) estimator succeeded.
@@ -198,6 +209,8 @@ pub const CTR_DIFFUSION_BATCH_EVICTIONS: &str = "diffusion.batch.evictions";
 
 /// Current queue depth (set on push and pop).
 pub const GAUGE_QUEUE_DEPTH: &str = "runtime.queue_depth";
+/// Highest queue depth observed since the runtime started.
+pub const GAUGE_QUEUE_HIGH_WATER: &str = "runtime.queue_high_water";
 /// Circuit-breaker state: 0 closed, 1 half-open, 2 open.
 pub const GAUGE_BREAKER_STATE: &str = "breaker.state";
 /// Prefix of the per-worker busy-time gauges (`runtime.worker.<i>.busy_us`).
@@ -289,6 +302,11 @@ pub const REGISTERED: &[&str] = &[
     HIST_SERVE_BODY_BYTES,
     HIST_DIFFUSION_BATCH_WIDTH,
     HIST_DIFFUSION_BATCH_COHORT_LANES,
+    CTR_SUBMITTED,
+    CTR_COMPLETED,
+    CTR_FAILED,
+    CTR_REJECTED,
+    CTR_DEADLINE_MISSED,
     CTR_RETRIES,
     CTR_ESTIMATOR_PRIMARY_OK,
     CTR_ESTIMATOR_PRIMARY_FAIL,
@@ -312,6 +330,7 @@ pub const REGISTERED: &[&str] = &[
     CTR_DIFFUSION_BATCH_LANE_STEPS,
     CTR_DIFFUSION_BATCH_EVICTIONS,
     GAUGE_QUEUE_DEPTH,
+    GAUGE_QUEUE_HIGH_WATER,
     GAUGE_BREAKER_STATE,
     GAUGE_SERVE_CONNECTIONS,
     GAUGE_SERVE_IN_FLIGHT,

@@ -37,18 +37,17 @@ pub enum Trans {
 }
 
 /// Row-major view of `op(X)` as `rows x cols` over stored data: element
-/// `(r, c)` lives at `r*rs + c*cs`. Shared with the f16-storage GEMM in
-/// [`super::f16`].
+/// `(r, c)` lives at `r*rs + c*cs`.
 #[derive(Clone, Copy)]
-pub(crate) struct View {
-    pub(crate) rs: usize,
-    pub(crate) cs: usize,
+struct View {
+    rs: usize,
+    cs: usize,
 }
 
 impl View {
     /// View of `op(X)` with logical shape `rows x cols`; when `trans` is
     /// `T` the storage holds `cols x rows` row-major.
-    pub(crate) fn new(trans: Trans, rows: usize, cols: usize) -> View {
+    fn new(trans: Trans, rows: usize, cols: usize) -> View {
         match trans {
             Trans::N => View { rs: cols, cs: 1 },
             Trans::T => View { rs: 1, cs: rows },
@@ -56,7 +55,7 @@ impl View {
     }
 
     #[inline]
-    pub(crate) fn at(&self, r: usize, c: usize) -> usize {
+    fn at(&self, r: usize, c: usize) -> usize {
         r * self.rs + c * self.cs
     }
 }

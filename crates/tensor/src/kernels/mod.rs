@@ -6,7 +6,9 @@
 //!
 //! * [`sgemm`] — cache-blocked, register-tiled `C += op(A)·op(B)` with
 //!   packed panels and a dense microkernel (no per-element zero-skip
-//!   branch), sharded across a std-only persistent thread pool;
+//!   branch), sharded across a std-only persistent thread pool. It is
+//!   the one GEMM tier: every forward and backward product in the ops
+//!   layer calls it, in f32;
 //! * [`Trans`] — stride-aware operand views so backward passes
 //!   (`dA = dC·Bᵀ`, `dB = Aᵀ·dC`) never materialise transposed copies;
 //! * [`parallel_for`] / [`parallel_chunks_mut`] — the scoped pool, also
@@ -26,42 +28,11 @@
 //! `tensor.{gemm,conv}_flops` counters.
 
 pub mod config;
-pub mod f16;
 mod gemm;
 pub(crate) mod metrics;
 mod pool;
 pub mod scratch;
 
-pub use config::{
-    configured_threads, quantised_inference, set_quantised_inference, set_threads, KernelConfig,
-};
-pub use f16::{f16_to_f32, f32_to_f16, hgemm, hgemm_info, hgemm_with_threads, quantize_f16_slice};
+pub use config::{configured_threads, set_threads, KernelConfig};
 pub use gemm::{gemm_naive, microkernel_info, sgemm, sgemm_with_threads, Trans};
 pub use pool::{parallel_for, parallel_chunks_mut};
-
-/// Inference-aware GEMM dispatch: routes to the f16-storage [`hgemm`]
-/// when quantised inference is enabled **and** the autograd tape is off,
-/// otherwise to the full-precision [`sgemm`].
-///
-/// Ops call this from their *forward* GEMMs only — backward passes call
-/// [`sgemm`] directly, so enabling quantisation can never perturb
-/// gradients (training inside a `no_grad` scope does not exist by
-/// construction). The accuracy contract for the f16 route is pinned by
-/// the workspace accuracy gate (see `PERFORMANCE.md`).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_infer(
-    ta: Trans,
-    tb: Trans,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    if quantised_inference() && !crate::tensor::grad_enabled() {
-        hgemm(ta, tb, m, k, n, a, b, c);
-    } else {
-        sgemm(ta, tb, m, k, n, a, b, c);
-    }
-}

@@ -170,9 +170,7 @@ impl Tensor {
             });
             // [cn*owo, ckk] x [ckk, o] with the weight read transposed
             // through strides, landing in this block's slice of [np, o].
-            // Forward conv routes through the quantised-inference dispatch;
-            // the backward GEMMs stay full-precision sgemm.
-            kernels::gemm_infer(
+            sgemm(
                 Trans::N,
                 Trans::T,
                 cn * owo,

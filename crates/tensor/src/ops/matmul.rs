@@ -34,10 +34,7 @@ impl Tensor {
         let b = other.to_vec();
         let mut out = vec![0.0f32; m * n];
         let t0 = Instant::now();
-        // Forward product routes through the quantised-inference dispatch
-        // (f16 storage under no-grad when enabled); backward passes below
-        // always run full-precision sgemm.
-        kernels::gemm_infer(Trans::N, Trans::N, m, k, n, &a, &b, &mut out);
+        sgemm(Trans::N, Trans::N, m, k, n, &a, &b, &mut out);
         kernels::metrics::record_gemm(t0.elapsed(), 2 * (m * k * n) as u64);
         Tensor::from_op(
             vec![m, n],
